@@ -17,7 +17,6 @@
 //! repro --trial-timeout 30 …  # retry/quarantine trials hung past 30 s
 //! repro --all --listen 127.0.0.1:8080   # live /metrics /healthz /progress …
 //! repro verify --budget small # statistical verification suite → verdict JSON
-//! repro bench --out BENCH_campaign_throughput.json   # throughput artifact
 //! repro serve --listen 127.0.0.1:8080   # campaign-as-a-service control plane
 //! repro inspect DIR           # offline forensics on a finished run
 //! repro inspect --folded DIR  # collapsed stacks for flamegraph tooling
@@ -186,7 +185,6 @@ fn parse_args() -> Result<Args, String> {
                      [--summary-out PATH]\n       \
                      repro verify [--budget small|medium|large] \
                      [--seed N] [--out verdict.json] [--telemetry-out DIR]\n       \
-                     repro bench [--out bench.json] [--min-secs SECS] [--rows 1,2,4,8]\n       \
                      repro serve [--listen HOST:PORT] [--max-concurrent N] \
                      [--jobs N] [--state DIR] [--for-secs SECS]\n       \
                      repro inspect [--folded | --diff | --convergence] [--out PATH] \
@@ -286,80 +284,6 @@ fn run_campaign_robust(
             Ok((report, 0))
         }
     }
-}
-
-struct BenchArgs {
-    out: Option<String>,
-    min_secs: f64,
-    jobs_rows: Vec<usize>,
-}
-
-fn parse_bench_args(mut it: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
-    let mut args = BenchArgs {
-        out: None,
-        min_secs: 2.0,
-        jobs_rows: serscale_bench::throughput::DEFAULT_JOBS.to_vec(),
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                args.out = Some(it.next().ok_or("--out needs a path")?);
-            }
-            "--min-secs" => {
-                let s = it.next().ok_or("--min-secs needs seconds")?;
-                args.min_secs = s.parse().map_err(|_| format!("bad min-secs {s}"))?;
-                if !(args.min_secs > 0.0 && args.min_secs.is_finite()) {
-                    return Err("--min-secs must be positive".into());
-                }
-            }
-            "--rows" => {
-                let s = it
-                    .next()
-                    .ok_or("--rows needs a comma-separated jobs list")?;
-                args.jobs_rows = s
-                    .split(',')
-                    .map(|n| n.parse::<usize>().map_err(|_| format!("bad jobs row {n}")))
-                    .collect::<Result<_, _>>()?;
-                if args.jobs_rows.is_empty() || args.jobs_rows.contains(&0) {
-                    return Err("--rows must list positive worker counts".into());
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro bench [--out BENCH_campaign_throughput.json] \
-                     [--min-secs SECS] [--rows 1,2,4,8]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown bench argument {other}")),
-        }
-    }
-    Ok(args)
-}
-
-/// Runs the throughput bench: human summary on stderr, bench JSON on
-/// stdout (or into `--out`). The measurement asserts determinism on every
-/// iteration, so a nonzero exit here is an engine regression, not a perf
-/// number.
-fn run_bench(args: &BenchArgs) -> ExitCode {
-    eprintln!(
-        "measuring campaign throughput (rows {:?}, ≥{:.1}s per row)…",
-        args.jobs_rows, args.min_secs
-    );
-    let report = serscale_bench::throughput::measure(&args.jobs_rows, args.min_secs);
-    eprint!("{}", report.render());
-    let json = report.to_json();
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("repro bench: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("bench artifact written to {path}");
-        }
-        None => print!("{json}"),
-    }
-    ExitCode::SUCCESS
 }
 
 struct ServeArgs {
@@ -581,9 +505,8 @@ fn run_inspect(args: &InspectArgs) -> ExitCode {
             };
             let mut out = String::new();
             for target in targets {
-                let tracker =
-                    serscale_telemetry::convergence::ConvergenceTracker::replay(&target)
-                        .map_err(|e| format!("{}: {e}", target.display()))?;
+                let tracker = serscale_telemetry::convergence::ConvergenceTracker::replay(&target)
+                    .map_err(|e| format!("{}: {e}", target.display()))?;
                 out.push_str(&tracker.snapshot().to_json());
             }
             return Ok(out);
@@ -736,16 +659,6 @@ fn main() -> ExitCode {
             Ok(a) => run_verify(&a),
             Err(e) => {
                 eprintln!("repro verify: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.peek().map(String::as_str) == Some("bench") {
-        raw.next();
-        return match parse_bench_args(raw) {
-            Ok(a) => run_bench(&a),
-            Err(e) => {
-                eprintln!("repro bench: {e}");
                 ExitCode::FAILURE
             }
         };

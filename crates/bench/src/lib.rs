@@ -8,8 +8,6 @@
 //! * [`experiments`] — one regeneration function per table/figure.
 //! * The `repro` binary (`cargo run -p serscale-bench --bin repro -- --all`)
 //!   drives them from the command line.
-//! * The Criterion benches under `benches/` time each regeneration at
-//!   reduced scale and print the full-scale rows once per run.
 //! * [`selfcheck`] asserts every EXPERIMENTS.md shape claim against a
 //!   fresh campaign (`repro --selfcheck`).
 
@@ -19,7 +17,6 @@
 pub mod experiments;
 pub mod paper;
 pub mod selfcheck;
-pub mod throughput;
 
 use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
 use serscale_core::journal::start_or_resume;
@@ -73,23 +70,9 @@ pub fn run_platform_campaign_jobs(
     Campaign::new(config).run_parallel(jobs)
 }
 
-/// [`run_campaign_jobs`] with every engine callback reported to
+/// [`run_platform_campaign_jobs`] with every engine callback reported to
 /// `observer`. Observation is strictly one-way: the report is
 /// bit-identical to the unobserved run at any `jobs` count.
-///
-/// # Panics
-///
-/// Panics unless `0 < scale ≤ 1` and `jobs > 0`.
-pub fn run_campaign_observed(
-    scale: f64,
-    seed: u64,
-    jobs: usize,
-    observer: &mut dyn serscale_core::trace::SessionObserver,
-) -> CampaignReport {
-    run_platform_campaign_observed(&PlatformSpec::xgene2(), scale, seed, jobs, observer)
-}
-
-/// [`run_campaign_observed`] on an arbitrary platform.
 ///
 /// # Panics
 ///
@@ -106,40 +89,17 @@ pub fn run_platform_campaign_observed(
     Campaign::new(config).run_observed(jobs, observer)
 }
 
-/// [`run_campaign_observed`] with crash safety: absorbed trials are
+/// Runs the paper campaign with crash safety: absorbed trials are
 /// journaled to `journal_dir` (fsync'd per wave), and if the directory
 /// already holds a journal for this exact configuration the completed
 /// prefix is replayed instead of re-simulated — the report and the
 /// observer's trace come out bit-identical to an uninterrupted run at any
-/// `jobs`.
-///
-/// # Errors
-///
-/// Propagates journal I/O failures; a journal for a *different*
-/// configuration (wrong seed or scale) is refused rather than resumed.
-///
-/// # Panics
-///
-/// Panics unless `0 < scale ≤ 1` and `jobs > 0`, or if a journal write
-/// cannot be made durable mid-run.
-pub fn run_campaign_recovering(
-    scale: f64,
-    seed: u64,
-    jobs: usize,
-    retry: RetryPolicy,
-    journal_dir: &std::path::Path,
-    observer: &mut dyn serscale_core::trace::SessionObserver,
-) -> std::io::Result<CampaignReport> {
-    run_campaign_recovering_monitored(scale, seed, jobs, retry, journal_dir, None, observer)
-        .map(|(report, _resumed)| report)
-}
-
-/// [`run_campaign_recovering`] with the monitoring plane's hooks: an
-/// optional [`SyncProbe`](serscale_core::journal::SyncProbe) is attached
-/// to the journal writer (so `/healthz` can report fsync lag), and the
-/// returned pair carries how many trials the journal replayed instead of
-/// re-simulating (surfaced on `/campaign` as `resumed_trials`). The
-/// hooks are observe-only; the report is bit-identical either way.
+/// `jobs`. An optional [`SyncProbe`](serscale_core::journal::SyncProbe)
+/// is attached to the journal writer (so `/healthz` can report fsync
+/// lag), and the returned pair carries how many trials the journal
+/// replayed instead of re-simulating (surfaced on `/campaign` as
+/// `resumed_trials`). The hooks are observe-only; the report is
+/// bit-identical either way.
 ///
 /// # Errors
 ///

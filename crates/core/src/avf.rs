@@ -252,7 +252,7 @@ mod tests {
     use serscale_soc::platform::OperatingPoint;
 
     // Debug-mode kernel runs are slow; small samples suffice for the
-    // invariants checked here (the example and benches run larger ones).
+    // invariants checked here (the `voltage_advisor` example runs larger ones).
     fn injector() -> FaultInjector {
         FaultInjector::new(12)
     }

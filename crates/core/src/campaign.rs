@@ -528,6 +528,12 @@ mod tests {
         let mut golden_log = Logbook::new();
         let golden = campaign.run_observed(2, &mut golden_log);
 
+        // Retry/quarantine supervision alone, journal-less, changes nothing.
+        let mut robust_log = Logbook::new();
+        let robust = campaign.run_recoverable(CampaignRunOptions::with_jobs(8), &mut robust_log);
+        assert_eq!(robust, golden, "supervision perturbed the report");
+        assert_eq!(robust_log, golden_log, "supervision perturbed the trace");
+
         // A fresh journaled run must change nothing.
         let (mut writer, recovered) =
             start_or_resume(&dir, campaign.config()).expect("journal opens");

@@ -131,10 +131,7 @@ impl ProgressSnapshot {
             None => out.push_str(",\"cells_total\":null"),
         }
         match &self.widest_cell {
-            Some(name) => out.push_str(&format!(
-                ",\"widest_cell\":{}",
-                crate::json::escape(name)
-            )),
+            Some(name) => out.push_str(&format!(",\"widest_cell\":{}", crate::json::escape(name))),
             None => out.push_str(",\"widest_cell\":null"),
         }
         match self.widest_rel_halfwidth {
@@ -246,9 +243,7 @@ impl Progress {
     ) {
         let clamp = |x: f64| (x.is_finite() && x >= 0.0).then_some(x);
         let (widest_cell, widest_rel_halfwidth, widest_projected_sim_seconds) = match widest {
-            Some((name, rel, projected)) => {
-                (Some(name), clamp(rel), projected.and_then(clamp))
-            }
+            Some((name, rel, projected)) => (Some(name), clamp(rel), projected.and_then(clamp)),
             None => (None, None, None),
         };
         self.convergence = Some(ConvergenceHeadline {
@@ -315,8 +310,7 @@ impl Progress {
             cells_total: convergence.map(|c| c.total),
             widest_cell: convergence.and_then(|c| c.widest_cell.clone()),
             widest_rel_halfwidth: convergence.and_then(|c| c.widest_rel_halfwidth),
-            widest_projected_sim_seconds: convergence
-                .and_then(|c| c.widest_projected_sim_seconds),
+            widest_projected_sim_seconds: convergence.and_then(|c| c.widest_projected_sim_seconds),
         }
     }
 
@@ -516,7 +510,8 @@ mod tests {
             Some("790mV@900 MHz PMD/L2")
         );
         assert_eq!(
-            doc.get("widest_projected_sim_seconds").and_then(JsonValue::as_f64),
+            doc.get("widest_projected_sim_seconds")
+                .and_then(JsonValue::as_f64),
             Some(120.0)
         );
     }

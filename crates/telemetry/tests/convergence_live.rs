@@ -78,10 +78,16 @@ fn cell_counts(body: &str) -> Result<BTreeMap<(String, String, String), f64>, St
                 .ok_or("cell without events")?;
             let sum = ["masked", "due", "sdc"]
                 .iter()
-                .map(|k| cell.get(k).and_then(json::JsonValue::as_f64).unwrap_or(-1.0))
+                .map(|k| {
+                    cell.get(k)
+                        .and_then(json::JsonValue::as_f64)
+                        .unwrap_or(-1.0)
+                })
                 .sum::<f64>();
             if sum != events {
-                return Err(format!("cell {voltage}/{domain}/{array}: classes sum {sum} != events {events}"));
+                return Err(format!(
+                    "cell {voltage}/{domain}/{array}: classes sum {sum} != events {events}"
+                ));
             }
             counts.insert((voltage.clone(), domain, array), events);
         }
@@ -89,11 +95,7 @@ fn cell_counts(body: &str) -> Result<BTreeMap<(String, String, String), f64>, St
     Ok(counts)
 }
 
-fn scrape_convergence(
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    id: usize,
-) -> Result<u64, String> {
+fn scrape_convergence(addr: SocketAddr, stop: Arc<AtomicBool>, id: usize) -> Result<u64, String> {
     let mut scrapes = 0;
     let mut last: BTreeMap<(String, String, String), f64> = BTreeMap::new();
     let mut final_pass = false;
@@ -211,7 +213,8 @@ fn convergence_layer_on_or_off_journals_identically() {
         let report = if telemetry {
             let sink = TelemetrySink::in_memory(TelemetryOptions::default());
             let mut observer = tee(&mut logbook, sink.observer());
-            let report = Campaign::new(config).run_recoverable(options(&mut journal), &mut observer);
+            let report =
+                Campaign::new(config).run_recoverable(options(&mut journal), &mut observer);
             drop(observer);
             sink.crosscheck_campaign(&report).expect("crosscheck");
             report

@@ -33,7 +33,7 @@ fn run_with_telemetry(jobs: usize) -> (CampaignReport, Logbook, TelemetrySink) {
 }
 
 /// The tentpole determinism proof: reports and traces are bit-identical
-/// with telemetry on vs off, at jobs 1 and 8.
+/// with telemetry on vs off, at jobs 1, 4 and 8.
 #[test]
 fn telemetry_is_invisible_to_report_and_trace_at_any_jobs() {
     let (baseline_report, baseline_logbook) = run_plain(1);
@@ -45,7 +45,7 @@ fn telemetry_is_invisible_to_report_and_trace_at_any_jobs() {
     assert_eq!(parallel_report, baseline_report, "engine jobs contract");
     assert_eq!(parallel_logbook.to_jsonl(), baseline_trace);
 
-    for jobs in [1, 8] {
+    for jobs in [1, 4, 8] {
         let (report, logbook, sink) = run_with_telemetry(jobs);
         assert_eq!(
             report, baseline_report,

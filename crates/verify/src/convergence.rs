@@ -153,8 +153,11 @@ fn stream_one_arm(arm: u64, seed: u64) -> Vec<CheckResult> {
                 ci_mismatches.push(format!(
                     "{} {} k={events}: streamed [{}, {}] rel {} vs batch [{want_lo}, \
                      {want_hi}] rel {want_rel}",
-                    point.voltage, cell.array, cell.ci_lower_per_hour,
-                    cell.ci_upper_per_hour, cell.rel_halfwidth
+                    point.voltage,
+                    cell.array,
+                    cell.ci_lower_per_hour,
+                    cell.ci_upper_per_hour,
+                    cell.rel_halfwidth
                 ));
             }
         }

@@ -534,8 +534,8 @@ mod tests {
 
     /// The suite's own meta-test: a deliberately inverted Qcrit∝V law —
     /// σ *falling* as Vdd drops — must be caught by the monotonicity
-    /// oracle. This is the acceptance criterion that the oracles detect
-    /// injected defects rather than vacuously passing.
+    /// oracle. This is the proof that the oracles detect injected
+    /// defects rather than vacuously passing.
     #[test]
     fn flipped_qcrit_sign_is_caught() {
         struct FlippedQcrit;

@@ -21,7 +21,7 @@ fn scaled_campaign(seed: u64) -> CampaignConfig {
 #[test]
 fn campaign_is_bit_identical_across_worker_counts() {
     let reference = Campaign::new(scaled_campaign(0xD00D)).run();
-    for jobs in [1, 2, 8] {
+    for jobs in [1, 2, 4, 8] {
         let parallel = Campaign::new(scaled_campaign(0xD00D)).run_parallel(jobs);
         assert_eq!(parallel, reference, "jobs = {jobs}");
     }
