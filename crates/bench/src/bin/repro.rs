@@ -27,15 +27,16 @@
 use std::io::IsTerminal as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
-use serscale_bench::{
-    experiments, run_platform_campaign_jobs, run_platform_campaign_observed,
-    run_platform_campaign_recovering_monitored, GOLDEN_SCALE, REPRO_SEED,
+use serscale_bench::{campaign_config, experiments, GOLDEN_SCALE, REPRO_SEED};
+use serscale_core::campaign::{Campaign, CampaignReport, CampaignRunOptions};
+use serscale_core::journal::{
+    config_fingerprint, journal_path, start_or_resume, RecoveredCampaign, SyncProbe,
 };
-use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
-use serscale_core::journal::SyncProbe;
+use serscale_core::report::golden_summary;
 use serscale_core::session::RetryPolicy;
-use serscale_core::trace::{tee, Logbook, SessionObserver};
+use serscale_core::trace::{tee, Logbook, NoopObserver};
 use serscale_soc::PlatformSpec;
 use serscale_telemetry::{
     ControlPlane, ControlPlaneOptions, ProgressMode, TelemetryOptions, TelemetrySink,
@@ -63,9 +64,9 @@ struct Args {
     telemetry_out: Option<String>,
     journal: Option<String>,
     resume: Option<String>,
-    trial_timeout: Option<f64>,
+    trial_timeout: Option<Duration>,
     listen: Option<String>,
-    linger: f64,
+    linger: Duration,
     no_progress: bool,
     summary_out: Option<String>,
 }
@@ -74,7 +75,19 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the value of a seconds flag into a [`Duration`], once. A value
+/// that is not a number, is negative, or does not fit a `Duration` is a
+/// usage error naming the flag.
+fn parse_secs(flag: &str, value: Option<String>) -> Result<Duration, String> {
+    let s = value.ok_or(format!("{flag} needs seconds"))?;
+    let secs: f64 = s.parse().map_err(|_| format!("bad {flag} seconds {s}"))?;
+    if secs.is_nan() || secs < 0.0 {
+        return Err(format!("{flag} must be nonnegative"));
+    }
+    Duration::try_from_secs_f64(secs).map_err(|_| format!("{flag} {s} is out of range"))
+}
+
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         scale: 1.0,
         seed: REPRO_SEED,
@@ -92,11 +105,10 @@ fn parse_args() -> Result<Args, String> {
         resume: None,
         trial_timeout: None,
         listen: None,
-        linger: 0.0,
+        linger: Duration::ZERO,
         no_progress: false,
         summary_out: None,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--all" => {
@@ -153,24 +165,16 @@ fn parse_args() -> Result<Args, String> {
                 args.resume = Some(it.next().ok_or("--resume needs a directory")?);
             }
             "--trial-timeout" => {
-                let s = it.next().ok_or("--trial-timeout needs seconds")?;
-                let secs: f64 = s.parse().map_err(|_| format!("bad trial timeout {s}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
+                let timeout = parse_secs("--trial-timeout", it.next())?;
+                if timeout.is_zero() {
                     return Err("--trial-timeout must be positive".into());
                 }
-                args.trial_timeout = Some(secs);
+                args.trial_timeout = Some(timeout);
             }
             "--listen" => {
                 args.listen = Some(it.next().ok_or("--listen needs an address (host:port)")?);
             }
-            "--linger" => {
-                let s = it.next().ok_or("--linger needs seconds")?;
-                let secs: f64 = s.parse().map_err(|_| format!("bad linger time {s}"))?;
-                if !(secs >= 0.0 && secs.is_finite()) {
-                    return Err("--linger must be nonnegative".into());
-                }
-                args.linger = secs;
-            }
+            "--linger" => args.linger = parse_secs("--linger", it.next())?,
             "--no-progress" => args.no_progress = true,
             "--summary-out" => {
                 args.summary_out = Some(it.next().ok_or("--summary-out needs a path")?);
@@ -211,16 +215,11 @@ fn parse_args() -> Result<Args, String> {
             "--journal and --resume are mutually exclusive (--resume already journals)".into(),
         );
     }
-    if args.linger > 0.0 && args.listen.is_none() {
+    if !args.linger.is_zero() && args.listen.is_none() {
         return Err("--linger only makes sense with --listen".into());
     }
     Ok(args)
 }
-
-/// Observer for runs that need the crash-safe execution path but have no
-/// trace or telemetry consumer attached.
-struct Discard;
-impl SessionObserver for Discard {}
 
 /// Resolves `--platform`: a built-in name first (`xgene2`, `zynq-mpsoc`),
 /// then a JSON platform-spec file. Schema violations surface the spec
@@ -242,48 +241,64 @@ fn resolve_platform(arg: &str) -> Result<PlatformSpec, String> {
     ))
 }
 
-/// Runs the analysis campaign through the crash-safe engine path: with a
-/// journal directory the run is journaled (and resumed, if the directory
-/// already holds a matching journal); without one, only the
-/// retry/quarantine policy differs from the plain path — and with nothing
-/// failing, not even that changes a byte of the report.
+/// Runs one campaign of this invocation — the golden run or the analysis
+/// campaign — through the engine's one entry point.
 ///
-/// Returns the report plus how many trials the journal replayed instead
-/// of re-simulating (always 0 without a journal). The optional `probe`
-/// lets the monitoring plane watch journal fsync lag; both hooks are
-/// observe-only.
-#[allow(clippy::too_many_arguments)]
-fn run_campaign_robust(
-    spec: &PlatformSpec,
+/// With `journal_dir` the run is journaled, and resumed when the
+/// directory already holds a journal for this configuration. With `sink`
+/// the run is observed: the sink and the `trace` logbook see every event,
+/// `/campaign` publishes the campaign's facts and `/healthz` watches the
+/// journal's fsyncs. Neither changes a byte of the report.
+fn execute(
+    args: &Args,
+    platform: &PlatformSpec,
     scale: f64,
     seed: u64,
-    jobs: usize,
-    retry: RetryPolicy,
     journal_dir: Option<&Path>,
-    probe: Option<SyncProbe>,
-    observer: &mut dyn SessionObserver,
-) -> Result<(CampaignReport, u64), String> {
-    match journal_dir {
-        Some(dir) => run_platform_campaign_recovering_monitored(
-            spec, scale, seed, jobs, retry, dir, probe, observer,
-        )
-        .map_err(|e| format!("run journal at {}: {e}", dir.display())),
-        None => {
-            let mut config = CampaignConfig::for_platform_scaled(spec, scale);
-            config.seed = seed;
-            let report = Campaign::new(config).run_recoverable(
-                CampaignRunOptions {
-                    jobs,
-                    retry,
-                    journal: None,
-                    recovered: None,
-                    cancel: None,
-                },
-                observer,
-            );
-            Ok((report, 0))
+    sink: Option<&TelemetrySink>,
+    trace: &mut Logbook,
+) -> Result<CampaignReport, String> {
+    let campaign = Campaign::new(campaign_config(platform, scale, seed));
+    let (mut writer, recovered) = match journal_dir {
+        Some(dir) => {
+            let (writer, recovered) = start_or_resume(dir, campaign.config())
+                .map_err(|e| format!("run journal at {}: {e}", dir.display()))?;
+            (Some(writer), recovered)
+        }
+        None => (None, None),
+    };
+    if let Some(sink) = sink {
+        let fingerprint = config_fingerprint(campaign.config());
+        let journal = journal_dir.map(|dir| journal_path(dir).display().to_string());
+        let resumed = recovered
+            .as_ref()
+            .map_or(0, RecoveredCampaign::trials_recovered);
+        sink.set_campaign_status(|status| {
+            status.platform = Some(platform.name.clone());
+            status.config_fingerprint = Some(fingerprint);
+            status.journal = journal;
+            status.resumed_trials = resumed;
+        });
+        sink.set_progress_target_sim_secs(scale * full_campaign_sim_secs(platform));
+        if let Some(writer) = writer.as_mut() {
+            let probe = SyncProbe::new();
+            sink.attach_sync_probe(probe.clone());
+            writer.attach_probe(probe);
         }
     }
+    let options = CampaignRunOptions {
+        jobs: args.jobs,
+        retry: args
+            .trial_timeout
+            .map_or_else(RetryPolicy::standard, RetryPolicy::with_timeout),
+        journal: writer.as_mut(),
+        recovered: recovered.as_ref(),
+        cancel: None,
+    };
+    Ok(match sink {
+        Some(sink) => campaign.run_recoverable(options, &mut tee(trace, sink.observer())),
+        None => campaign.run_recoverable(options, &mut NoopObserver),
+    })
 }
 
 struct ServeArgs {
@@ -291,7 +306,7 @@ struct ServeArgs {
     max_concurrent: usize,
     default_jobs: usize,
     state: Option<String>,
-    for_secs: Option<f64>,
+    for_secs: Option<Duration>,
 }
 
 fn parse_serve_args(mut it: impl Iterator<Item = String>) -> Result<ServeArgs, String> {
@@ -325,12 +340,11 @@ fn parse_serve_args(mut it: impl Iterator<Item = String>) -> Result<ServeArgs, S
                 args.state = Some(it.next().ok_or("--state needs a directory")?);
             }
             "--for-secs" => {
-                let s = it.next().ok_or("--for-secs needs seconds")?;
-                let secs: f64 = s.parse().map_err(|_| format!("bad for-secs {s}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
+                let window = parse_secs("--for-secs", it.next())?;
+                if window.is_zero() {
                     return Err("--for-secs must be positive".into());
                 }
-                args.for_secs = Some(secs);
+                args.for_secs = Some(window);
             }
             "--help" | "-h" => {
                 println!(
@@ -375,7 +389,7 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
     // The address goes to stderr, like the monitoring plane's: CI scrapes
     // it from the log, and stdout stays hermetic.
     eprintln!("campaign service on http://{}", server.addr());
-    let requested = control.wait_shutdown(args.for_secs.map(std::time::Duration::from_secs_f64));
+    let requested = control.wait_shutdown(args.for_secs);
     if !requested {
         eprintln!("repro serve: --for-secs window elapsed; draining in-flight campaigns");
     }
@@ -683,7 +697,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let args = match parse_args() {
+    let args = match parse_args(raw) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("repro: {e}");
@@ -709,28 +723,21 @@ fn main() -> ExitCode {
         || args.tables.iter().any(|t| *t >= 2)
         || args.figures.iter().any(|f| *f != 4);
 
-    // Crash-safety controls. `--resume` is `--journal` plus the demand
-    // that a journal already exists: a typo'd directory must fail loudly,
-    // not silently start a fresh run.
-    let retry = match args.trial_timeout {
-        Some(secs) => RetryPolicy::with_timeout(std::time::Duration::from_secs_f64(secs)),
-        None => RetryPolicy::standard(),
-    };
+    // `--resume` is `--journal` plus the demand that a journal already
+    // exists: a typo'd directory must fail loudly, not silently start a
+    // fresh run.
     let journal_dir: Option<PathBuf> = args
         .resume
         .as_ref()
         .or(args.journal.as_ref())
         .map(PathBuf::from);
     if let Some(dir) = &args.resume {
-        let path = serscale_core::journal::journal_path(Path::new(dir));
+        let path = journal_path(Path::new(dir));
         if !path.is_file() {
             eprintln!("repro: --resume {dir}: no journal at {}", path.display());
             return ExitCode::FAILURE;
         }
     }
-    // Journaling attaches to the analysis campaign when one runs,
-    // otherwise to the golden run (the only campaign of the invocation).
-    let crash_safe = journal_dir.is_some() || args.trial_timeout.is_some();
 
     // The telemetry sink observes whichever campaign this invocation runs
     // (the analysis campaign if one is needed, otherwise the golden run).
@@ -785,111 +792,34 @@ fn main() -> ExitCode {
         _ => None,
     };
 
-    // Publish slow-changing campaign facts for `/campaign`, and wire the
-    // journal's fsync probe into `/healthz` when the run is journaled.
-    let probe = match (&sink, &journal_dir) {
-        (Some(sink), Some(_)) => {
-            let probe = SyncProbe::new();
-            sink.attach_sync_probe(probe.clone());
-            Some(probe)
-        }
-        _ => None,
-    };
-    if let Some(sink) = &sink {
-        let (fp_scale, fp_seed) = if needs_campaign {
-            (args.scale, args.seed)
-        } else {
-            (GOLDEN_SCALE, REPRO_SEED)
-        };
-        let mut config = CampaignConfig::for_platform_scaled(&platform, fp_scale);
-        config.seed = fp_seed;
-        let fingerprint = serscale_core::journal::config_fingerprint(&config);
-        let journal = journal_dir.as_deref().map(|dir| {
-            serscale_core::journal::journal_path(dir)
-                .display()
-                .to_string()
-        });
-        let platform_name = platform.name.clone();
-        sink.set_campaign_status(|status| {
-            status.platform = Some(platform_name);
-            status.config_fingerprint = Some(fingerprint);
-            status.journal = journal;
-        });
-    }
-
+    // The journal and the sink attach to the analysis campaign when one
+    // runs, otherwise to the golden run (the only campaign of the
+    // invocation).
     let mut trace = Logbook::new();
-    let mut golden_report: Option<CampaignReport> = None;
-    let mut resumed_trials = 0u64;
-
-    if args.golden {
+    let mut run = |scale: f64, seed: u64, attached: bool| {
+        let (journal, observed) = if attached {
+            (journal_dir.as_deref(), sink.as_ref())
+        } else {
+            (None, None)
+        };
+        execute(&args, &platform, scale, seed, journal, observed, &mut trace)
+    };
+    let golden_report = if args.golden {
         // The golden diff is pinned to one (scale, seed) pair; only the
         // worker count is the caller's to vary — by contract it must not
         // change a single byte of this output.
-        let golden_journal = if needs_campaign {
-            None
-        } else {
-            journal_dir.as_deref()
-        };
-        let report = match &sink {
-            Some(sink) if !needs_campaign => {
-                sink.set_progress_target_sim_secs(GOLDEN_SCALE * full_campaign_sim_secs(&platform));
-                let mut observer = tee(&mut trace, sink.observer());
-                if crash_safe {
-                    match run_campaign_robust(
-                        &platform,
-                        GOLDEN_SCALE,
-                        REPRO_SEED,
-                        args.jobs,
-                        retry,
-                        golden_journal,
-                        probe.clone(),
-                        &mut observer,
-                    ) {
-                        Ok((report, resumed)) => {
-                            resumed_trials = resumed;
-                            report
-                        }
-                        Err(e) => {
-                            eprintln!("repro: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                } else {
-                    run_platform_campaign_observed(
-                        &platform,
-                        GOLDEN_SCALE,
-                        REPRO_SEED,
-                        args.jobs,
-                        &mut observer,
-                    )
-                }
+        let report = match run(GOLDEN_SCALE, REPRO_SEED, !needs_campaign) {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("repro: {e}");
+                return ExitCode::FAILURE;
             }
-            _ if crash_safe && !needs_campaign => {
-                match run_campaign_robust(
-                    &platform,
-                    GOLDEN_SCALE,
-                    REPRO_SEED,
-                    args.jobs,
-                    retry,
-                    golden_journal,
-                    probe.clone(),
-                    &mut Discard,
-                ) {
-                    Ok((report, resumed)) => {
-                        resumed_trials = resumed;
-                        report
-                    }
-                    Err(e) => {
-                        eprintln!("repro: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            _ => run_platform_campaign_jobs(&platform, GOLDEN_SCALE, REPRO_SEED, args.jobs),
         };
-        print!("{}", serscale_bench::golden_summary(&report));
-        golden_report = Some(report);
-    }
+        print!("{}", golden_summary(&report));
+        Some(report)
+    } else {
+        None
+    };
 
     let report = if needs_campaign {
         eprintln!(
@@ -900,49 +830,13 @@ fn main() -> ExitCode {
             full_campaign_sim_secs(&platform) / 3600.0 * args.scale,
             args.jobs
         );
-        let run = |observer: &mut dyn SessionObserver| {
-            if crash_safe {
-                run_campaign_robust(
-                    &platform,
-                    args.scale,
-                    args.seed,
-                    args.jobs,
-                    retry,
-                    journal_dir.as_deref(),
-                    probe.clone(),
-                    observer,
-                )
-            } else {
-                Ok((
-                    run_platform_campaign_observed(
-                        &platform, args.scale, args.seed, args.jobs, observer,
-                    ),
-                    0,
-                ))
-            }
-        };
-        let outcome = match &sink {
-            Some(sink) => {
-                sink.set_progress_target_sim_secs(args.scale * full_campaign_sim_secs(&platform));
-                let mut observer = tee(&mut trace, sink.observer());
-                run(&mut observer)
-            }
-            None if crash_safe => run(&mut Discard),
-            None => Ok((
-                run_platform_campaign_jobs(&platform, args.scale, args.seed, args.jobs),
-                0,
-            )),
-        };
-        Some(match outcome {
-            Ok((report, resumed)) => {
-                resumed_trials = resumed;
-                report
-            }
+        match run(args.scale, args.seed, true) {
+            Ok(report) => Some(report),
             Err(e) => {
                 eprintln!("repro: {e}");
                 return ExitCode::FAILURE;
             }
-        })
+        }
     } else {
         None
     };
@@ -951,7 +845,7 @@ fn main() -> ExitCode {
     // The CI control-plane job diffs service-produced reports against
     // this file: same renderer, same spec → byte-identical text.
     if let Some(path) = &args.summary_out {
-        let text = serscale_bench::golden_summary(report.expect("campaign"));
+        let text = golden_summary(report.expect("campaign"));
         if let Err(e) = std::fs::write(path, &text) {
             eprintln!("repro: cannot write summary to {path}: {e}");
             return ExitCode::FAILURE;
@@ -1017,10 +911,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        sink.set_campaign_status(|status| {
-            status.resumed_trials = resumed_trials;
-            status.done = true;
-        });
+        sink.set_campaign_status(|status| status.done = true);
         if args.telemetry_out.is_some() {
             // Artifacts land before any linger window, so a live scrape
             // during the window and the on-disk snapshot agree exactly.
@@ -1041,11 +932,54 @@ fn main() -> ExitCode {
         // Hold the endpoints up so scrapers can read the final state —
         // a full-scale campaign finishes in under a second, far faster
         // than any polling loop.
-        if args.linger > 0.0 {
-            eprintln!("monitoring lingers {:.0}s before shutdown…", args.linger);
-            std::thread::sleep(std::time::Duration::from_secs_f64(args.linger));
+        if !args.linger.is_zero() {
+            eprintln!(
+                "monitoring lingers {:.0}s before shutdown…",
+                args.linger.as_secs_f64()
+            );
+            std::thread::sleep(args.linger);
         }
         server.shutdown();
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> impl Iterator<Item = String> + '_ {
+        line.split_whitespace().map(str::to_string)
+    }
+
+    #[test]
+    fn seconds_flags_parse_into_durations() {
+        let args = parse_args(argv(
+            "--golden --trial-timeout 30 --listen 127.0.0.1:0 --linger 0.5",
+        ))
+        .expect("valid flags");
+        assert_eq!(args.trial_timeout, Some(Duration::from_secs(30)));
+        assert_eq!(args.linger, Duration::from_millis(500));
+        let serve = parse_serve_args(argv("--for-secs 120")).expect("valid flags");
+        assert_eq!(serve.for_secs, Some(Duration::from_secs(120)));
+    }
+
+    #[test]
+    fn out_of_range_seconds_are_usage_errors_naming_the_flag() {
+        for (line, flag) in [
+            ("--golden --trial-timeout 1e300", "--trial-timeout"),
+            ("--golden --trial-timeout inf", "--trial-timeout"),
+            ("--golden --listen 127.0.0.1:0 --linger 1e300", "--linger"),
+            ("--golden --listen 127.0.0.1:0 --linger -1", "--linger"),
+        ] {
+            let err = parse_args(argv(line)).err().expect(line);
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+        for line in ["--for-secs 1e300", "--for-secs NaN", "--for-secs 0"] {
+            let err = parse_serve_args(argv(line)).err().expect(line);
+            assert!(err.contains("--for-secs"), "{line}: {err}");
+        }
+        let err = parse_args(argv("--golden --trial-timeout 0")).err();
+        assert_eq!(err.as_deref(), Some("--trial-timeout must be positive"));
+    }
 }

@@ -466,10 +466,12 @@ pub fn ablations(seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_campaign;
+    use crate::campaign_config;
+    use serscale_core::campaign::Campaign;
+    use serscale_soc::PlatformSpec;
 
     fn quick() -> CampaignReport {
-        run_campaign(0.02, 7)
+        Campaign::new(campaign_config(&PlatformSpec::xgene2(), 0.02, 7)).run_parallel(1)
     }
 
     #[test]

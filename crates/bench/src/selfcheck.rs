@@ -209,7 +209,9 @@ pub fn render(checks: &[Check]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_campaign;
+    use crate::campaign_config;
+    use serscale_core::campaign::Campaign;
+    use serscale_soc::PlatformSpec;
 
     #[test]
     fn selfcheck_passes_on_a_decent_campaign() {
@@ -229,7 +231,7 @@ mod tests {
                     serscale_types::SimDuration::from_minutes(200.0),
                 );
             }
-            let report = serscale_core::campaign::Campaign::new(config).run();
+            let report = Campaign::new(config).run_parallel(1);
             let checks = run_checks(&report);
             assert!(
                 checks.len() >= 9,
@@ -257,7 +259,8 @@ mod tests {
     #[test]
     fn selfcheck_runs_even_on_tiny_campaigns() {
         // Short campaigns may fail noisy claims but must not panic.
-        let report = run_campaign(0.003, 9);
+        let report =
+            Campaign::new(campaign_config(&PlatformSpec::xgene2(), 0.003, 9)).run_parallel(1);
         let checks = run_checks(&report);
         assert!(!checks.is_empty());
         let _ = render(&checks);

@@ -1,6 +1,8 @@
 //! The full beam campaign: Vmin anchoring, sessions in sequence, one
 //! consolidated report — the whole of Table 2 in one call.
 
+use std::convert::Infallible;
+
 use serde::{Deserialize, Serialize};
 
 use serscale_beam::facility::{BeamFacility, BeamPosition};
@@ -13,7 +15,8 @@ use serscale_undervolt::{characterize::Characterizer, timing::TimingFailureModel
 use crate::dut::DeviceUnderTest;
 use crate::journal::{JournalWriter, RecoveredCampaign};
 use crate::scheduler::{CancelToken, Cancelled};
-use crate::session::{ExecutionPlan, RetryPolicy, SessionLimits, SessionReport, TestSession};
+use crate::session::{RetryPolicy, SessionLimits, SessionReport, TestSession};
+use crate::trace::{NoopObserver, SessionObserver};
 
 /// Where the per-frequency safe Vmin anchoring the logic amplification
 /// comes from.
@@ -185,36 +188,24 @@ impl Campaign {
         }
     }
 
-    /// Runs every session and consolidates the report.
-    pub fn run(&self) -> CampaignReport {
-        self.run_parallel(1)
-    }
-
     /// Runs the whole campaign through the naive reference executor
     /// ([`TestSession::run_reference`]): no waves, no speculation, no
     /// worker pool. Exists for differential verification — its report must
-    /// be bit-identical to [`run`](Self::run) and
-    /// [`run_parallel`](Self::run_parallel) at any `jobs`.
+    /// be bit-identical to [`try_run_recoverable`](Self::try_run_recoverable)
+    /// at any `jobs`.
     pub fn run_reference(&self) -> CampaignReport {
-        self.run_with(|_, session, rng| session.run_reference(rng))
+        let Ok(report) = self.run_sessions::<Infallible>(|_, session, rng| {
+            Ok(session.run_reference(rng, &mut NoopObserver))
+        });
+        report
     }
 
-    fn run_with(
+    /// Builds every session in configuration order (Vmin anchoring, DUT,
+    /// forked RNG) and hands each to `run_session`.
+    fn run_sessions<E>(
         &self,
-        mut run_session: impl FnMut(u64, &mut TestSession, &mut SimRng) -> SessionReport,
-    ) -> CampaignReport {
-        self.try_run_with(|index, session, rng| Ok(run_session(index, session, rng)))
-            .expect("infallible session runner")
-    }
-
-    fn try_run_with(
-        &self,
-        mut run_session: impl FnMut(
-            u64,
-            &mut TestSession,
-            &mut SimRng,
-        ) -> Result<SessionReport, Cancelled>,
-    ) -> Result<CampaignReport, Cancelled> {
+        mut run_session: impl FnMut(u64, &mut TestSession, &mut SimRng) -> Result<SessionReport, E>,
+    ) -> Result<CampaignReport, E> {
         let root = SimRng::seed_from(self.config.seed);
         let flux = self.config.facility.flux_at(self.config.position);
 
@@ -244,69 +235,33 @@ impl Campaign {
         })
     }
 
-    /// Runs the campaign on `jobs` workers with every session reporting
-    /// through one observer (see [`crate::trace`]). Sessions are announced
-    /// via [`SessionObserver::on_session_start`] in configuration order,
-    /// so a single observer can attribute the merged stream — and because
-    /// observation is one-way, the report is bit-identical to
-    /// [`run_parallel`](Self::run_parallel) with the same `jobs`.
+    /// Runs the campaign — the one general entry point. Sessions execute
+    /// in configuration order through [`TestSession::run`], each on
+    /// `options.jobs` workers, every event reported through `observer`.
+    ///
+    /// Sessions are announced via [`SessionObserver::on_session_start`]
+    /// in configuration order, so a single observer can attribute the
+    /// merged stream. Every trial draws from a counter-derived stream, so
+    /// the report is bit-identical for any `jobs` — the determinism
+    /// contract the regression suite enforces — and observation, the
+    /// journal and the retry policy (with nothing failing) never change a
+    /// byte of it. With a recovered prefix (see
+    /// [`crate::journal::start_or_resume`]), the replayed trials drive the
+    /// observer exactly as the original run did, so report *and* trace
+    /// stay bit-identical to an uninterrupted run at any `jobs`.
+    ///
+    /// When `options.cancel` fires, execution stops cleanly at the next
+    /// wave boundary (or between sessions). The journal, if any, is left
+    /// exactly as a crash at a record boundary would leave it: completed
+    /// sessions closed by their `SessionEnd` records, the in-flight
+    /// session holding every absorbed trial and no end record. Re-opening
+    /// it through [`crate::journal::start_or_resume`] and re-running the
+    /// same configuration reproduces the uninterrupted report and trace
+    /// bit for bit at any `jobs` — cancellation rides the crash recovery
+    /// path rather than inventing a second lifecycle.
     ///
     /// [`SessionObserver::on_session_start`]:
     /// crate::trace::SessionObserver::on_session_start
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs == 0`.
-    pub fn run_observed(
-        &self,
-        jobs: usize,
-        observer: &mut dyn crate::trace::SessionObserver,
-    ) -> CampaignReport {
-        self.run_with(|_, session, rng| session.run_observed_with(rng, jobs, &mut *observer))
-    }
-
-    /// Runs the campaign with crash-safety controls: an optional run
-    /// journal recording every absorbed trial, an optional recovered
-    /// prefix to replay (see [`crate::journal::start_or_resume`]), and a
-    /// retry/quarantine policy for panicking or hung trials.
-    ///
-    /// With a fresh journal (no recovery) and [`RetryPolicy::standard`],
-    /// the report is bit-identical to
-    /// [`run_observed`](Self::run_observed) at the same `jobs`; with a
-    /// recovered prefix, the replayed trials drive the observer exactly as
-    /// the original run did, so report *and* trace stay bit-identical to
-    /// an uninterrupted run at any `jobs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.jobs == 0`, if the recovered prefix is
-    /// inconsistent with this configuration, if a journal write cannot
-    /// be made durable (a crash-safety layer that silently drops records
-    /// would be worse than none), or if `options.cancel` fires — callers
-    /// that cancel must use
-    /// [`try_run_recoverable`](Self::try_run_recoverable).
-    pub fn run_recoverable(
-        &self,
-        options: CampaignRunOptions<'_>,
-        observer: &mut dyn crate::trace::SessionObserver,
-    ) -> CampaignReport {
-        self.try_run_recoverable(options, observer)
-            .expect("campaign cancelled; use try_run_recoverable to observe cancellation")
-    }
-
-    /// [`run_recoverable`](Self::run_recoverable), but cancellable: when
-    /// `options.cancel` fires, execution stops cleanly at the next wave
-    /// boundary (or between sessions) and returns
-    /// [`Err(Cancelled)`](Cancelled).
-    ///
-    /// The journal, if any, is left exactly as a crash at a record
-    /// boundary would leave it: completed sessions closed by their
-    /// `SessionEnd` records, the in-flight session holding every absorbed
-    /// trial and no end record. Re-opening it through
-    /// [`crate::journal::start_or_resume`] and re-running the same
-    /// configuration reproduces the uninterrupted report and trace bit
-    /// for bit at any `jobs` — cancellation rides the PR-tested crash
-    /// recovery path rather than inventing a second lifecycle.
     ///
     /// # Errors
     ///
@@ -315,51 +270,65 @@ impl Campaign {
     ///
     /// # Panics
     ///
-    /// As [`run_recoverable`](Self::run_recoverable), minus cancellation.
+    /// Panics if `options.jobs == 0`, if the recovered prefix is
+    /// inconsistent with this configuration, or if a journal write cannot
+    /// be made durable (a crash-safety layer that silently drops records
+    /// would be worse than none).
     pub fn try_run_recoverable(
         &self,
         mut options: CampaignRunOptions<'_>,
-        observer: &mut dyn crate::trace::SessionObserver,
+        observer: &mut dyn SessionObserver,
     ) -> Result<CampaignReport, Cancelled> {
-        let cancel = options.cancel.clone();
-        self.try_run_with(|index, session, rng| {
-            if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        self.run_sessions(|index, session, rng| {
+            if options.cancelled() {
                 return Err(Cancelled);
             }
-            session.try_run_planned(
-                rng,
-                ExecutionPlan {
-                    jobs: options.jobs,
-                    retry: options.retry,
-                    journal: options.journal.as_deref_mut(),
-                    recovered: options.recovered.and_then(|r| r.session(index)),
-                    session_index: index,
-                    cancel: cancel.clone(),
-                },
-                &mut *observer,
-            )
+            session.run(rng, index, &mut options, &mut *observer)
         })
     }
 
-    /// Runs the campaign on `jobs` worker threads.
+    /// [`try_run_recoverable`](Self::try_run_recoverable) with options
+    /// that carry no cancel token. Kept because the benchmark under
+    /// `perfbench/` calls it.
     ///
-    /// Sessions still execute in configuration order (their trial grids
-    /// are what gets sharded across the pool), and every trial draws from
-    /// a counter-derived stream, so the report is bit-identical to
-    /// [`run`](Self::run) for any `jobs` — the determinism contract the
-    /// regression suite enforces.
+    /// # Panics
+    ///
+    /// As [`try_run_recoverable`](Self::try_run_recoverable), and if
+    /// `options.cancel` fires.
+    pub fn run_recoverable(
+        &self,
+        options: CampaignRunOptions<'_>,
+        observer: &mut dyn SessionObserver,
+    ) -> CampaignReport {
+        self.try_run_recoverable(options, observer)
+            .expect("campaign cancelled; use try_run_recoverable to observe cancellation")
+    }
+
+    /// [`run_recoverable`](Self::run_recoverable) on `jobs` workers with
+    /// no journal. Kept because the benchmark under `perfbench/` calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `jobs == 0`.
+    pub fn run_observed(&self, jobs: usize, observer: &mut dyn SessionObserver) -> CampaignReport {
+        self.run_recoverable(CampaignRunOptions::with_jobs(jobs), observer)
+    }
+
+    /// [`run_observed`](Self::run_observed) with nothing observing. Kept
+    /// because the benchmark under `perfbench/` calls it.
     ///
     /// # Panics
     ///
     /// Panics if `jobs == 0`.
     pub fn run_parallel(&self, jobs: usize) -> CampaignReport {
-        self.run_with(|_, session, rng| session.run_parallel(rng, jobs))
+        self.run_observed(jobs, &mut NoopObserver)
     }
 }
 
-/// Controls for [`Campaign::run_recoverable`]: worker count, retry
-/// policy, and the crash-safety hooks (journal to append to, recovered
-/// prefix to replay).
+/// How to run a campaign or one of its sessions
+/// ([`Campaign::try_run_recoverable`], [`TestSession::run`]): worker
+/// count, retry policy, the crash-safety hooks (journal to append to,
+/// recovered prefix to replay) and cancellation.
 #[derive(Debug)]
 pub struct CampaignRunOptions<'a> {
     /// Worker threads per session (must be ≥ 1).
@@ -386,6 +355,11 @@ impl CampaignRunOptions<'_> {
             recovered: None,
             cancel: None,
         }
+    }
+
+    /// Whether the cancel token, if any, has fired.
+    pub(crate) fn cancelled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 }
 
@@ -430,7 +404,7 @@ mod tests {
         let mut config = CampaignConfig::for_platform_scaled(&PlatformSpec::zynq_mpsoc(), 0.01);
         config.seed = 21;
         let campaign = Campaign::new(config);
-        let report = campaign.run();
+        let report = campaign.run_parallel(1);
         assert_eq!(report.platform, "zynq-mpsoc");
         assert_eq!(report.sessions.len(), 4);
         assert!(report.baseline().is_some(), "850 mV baseline resolves");
@@ -450,7 +424,7 @@ mod tests {
         let mut config = CampaignConfig::for_platform_scaled(&PlatformSpec::zynq_mpsoc(), 0.005);
         config.seed = 22;
         config.vmin_source = VminSource::Characterized { trials: 50 };
-        let report = Campaign::new(config.clone()).run();
+        let report = Campaign::new(config.clone()).run_parallel(1);
         for (f, v) in &report.vmins {
             let anchor = config.platform.vmin_at(*f);
             assert!(v.get().abs_diff(anchor.get()) <= 5, "{f}: {v} vs {anchor}");
@@ -460,13 +434,13 @@ mod tests {
 
     #[test]
     fn campaign_flux_is_the_paper_working_flux() {
-        let report = Campaign::new(quick_config(1, 0.01)).run();
+        let report = Campaign::new(quick_config(1, 0.01)).run_parallel(1);
         assert!((report.flux.as_per_cm2_s() - 1.5e6).abs() < 1e-3);
     }
 
     #[test]
     fn scaled_campaign_runs_all_sessions() {
-        let report = Campaign::new(quick_config(2, 0.02)).run();
+        let report = Campaign::new(quick_config(2, 0.02)).run_parallel(1);
         assert_eq!(report.sessions.len(), 4);
         assert!(report.baseline().is_some());
         assert!(report.session_at(OperatingPoint::vmin_900()).is_some());
@@ -475,15 +449,15 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic() {
-        let a = Campaign::new(quick_config(3, 0.01)).run();
-        let b = Campaign::new(quick_config(3, 0.01)).run();
+        let a = Campaign::new(quick_config(3, 0.01)).run_parallel(1);
+        let b = Campaign::new(quick_config(3, 0.01)).run_parallel(1);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = Campaign::new(quick_config(4, 0.01)).run();
-        let b = Campaign::new(quick_config(5, 0.01)).run();
+        let a = Campaign::new(quick_config(4, 0.01)).run_parallel(1);
+        let b = Campaign::new(quick_config(5, 0.01)).run_parallel(1);
         assert_ne!(a, b);
     }
 
@@ -491,7 +465,7 @@ mod tests {
     fn reference_executor_matches_engine_paths() {
         let campaign = Campaign::new(quick_config(11, 0.01));
         let reference = campaign.run_reference();
-        assert_eq!(reference, campaign.run());
+        assert_eq!(reference, campaign.run_parallel(1));
         assert_eq!(reference, campaign.run_parallel(3));
     }
 
@@ -501,7 +475,11 @@ mod tests {
         let campaign = Campaign::new(quick_config(12, 0.01));
         let mut logbook = Logbook::new();
         let observed = campaign.run_observed(2, &mut logbook);
-        assert_eq!(observed, campaign.run(), "observation perturbed the run");
+        assert_eq!(
+            observed,
+            campaign.run_parallel(1),
+            "observation perturbed the run"
+        );
         let starts: Vec<_> = logbook
             .events()
             .iter()
@@ -581,9 +559,105 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Fires a cloned cancel token on its `fire_at`-th `on_run`, counting
+    /// the runs it sees and the waves that close after the token fired.
+    struct CancelOnRun {
+        token: CancelToken,
+        fire_at: u64,
+        runs: u64,
+        waves_after_fire: u64,
+    }
+
+    impl SessionObserver for CancelOnRun {
+        fn on_run(
+            &mut self,
+            _start: serscale_types::SimInstant,
+            _benchmark: serscale_workload::Benchmark,
+            _verdict: crate::classify::RunVerdict,
+        ) {
+            self.runs += 1;
+            if self.runs == self.fire_at {
+                self.token.cancel();
+            }
+        }
+        fn on_wave(&mut self, _stats: crate::trace::WaveStats) {
+            self.waves_after_fire += u64::from(self.token.is_cancelled());
+        }
+    }
+
+    #[test]
+    fn cancelled_run_leaves_a_journal_that_resumes_bit_identically() {
+        use crate::journal::{journal_path, read_journal, start_or_resume, Record};
+        use crate::trace::Logbook;
+
+        let dir =
+            std::env::temp_dir().join(format!("serscale-campaign-cancel-{}", std::process::id()));
+        // A session longer than the largest wave (4096 trials), so the
+        // firing run lands with waves still to come; a thin beam keeps its
+        // trials cheap. A cancelled run never starts the second session.
+        let mut config = quick_config(14, 0.01);
+        config.position = BeamPosition::halo(BeamPosition::PAPER_HALO_TRANSMISSION * 1e-2);
+        config.sessions[0].1 = SessionLimits::time_boxed(SimDuration::from_minutes(300.0));
+        config.sessions.truncate(2);
+        let campaign = Campaign::new(config);
+        let mut golden_log = Logbook::new();
+        let golden = campaign.run_observed(1, &mut golden_log);
+
+        // `fire_at == 0`: the token fired before the run started.
+        for (jobs, fire_at) in [(1, 0), (1, 40), (4, 40)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let (mut writer, _) = start_or_resume(&dir, campaign.config()).expect("journal opens");
+            let token = CancelToken::new();
+            if fire_at == 0 {
+                token.cancel();
+            }
+            let mut canceller = CancelOnRun {
+                token: token.clone(),
+                fire_at,
+                runs: 0,
+                waves_after_fire: 0,
+            };
+            let options = CampaignRunOptions {
+                journal: Some(&mut writer),
+                cancel: Some(token),
+                ..CampaignRunOptions::with_jobs(jobs)
+            };
+            let result = campaign.try_run_recoverable(options, &mut canceller);
+            drop(writer);
+            let case = format!("jobs {jobs}, fire at run {fire_at}");
+            assert_eq!(result, Err(Cancelled), "{case}");
+            if fire_at == 0 {
+                assert_eq!(canceller.runs, 0, "{case}");
+                let journal = read_journal(&journal_path(&dir)).expect("journal readable");
+                assert_eq!(journal, vec![Record::campaign_header(campaign.config())]);
+            } else {
+                // The wave holding the firing run closed, and no other did.
+                assert_eq!(canceller.waves_after_fire, 1, "{case}");
+            }
+
+            // Every absorbed trial is journaled, and resuming reproduces
+            // the uninterrupted report and trace.
+            let (mut writer, recovered) =
+                start_or_resume(&dir, campaign.config()).expect("journal reopens");
+            let recovered = recovered.expect("a cancelled journal recovers");
+            assert_eq!(recovered.trials_recovered(), canceller.runs, "{case}");
+            let options = CampaignRunOptions {
+                journal: Some(&mut writer),
+                recovered: Some(&recovered),
+                ..CampaignRunOptions::with_jobs(jobs)
+            };
+            let mut resumed_log = Logbook::new();
+            let resumed = campaign.try_run_recoverable(options, &mut resumed_log);
+            drop(writer);
+            assert_eq!(resumed, Ok(golden.clone()), "{case}: report diverged");
+            assert_eq!(resumed_log, golden_log, "{case}: trace diverged");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn vmin_anchors_match_paper_defaults() {
-        let report = Campaign::new(quick_config(6, 0.01)).run();
+        let report = Campaign::new(quick_config(6, 0.01)).run_parallel(1);
         let lookup = |f: u32| {
             report
                 .vmins
@@ -600,7 +674,7 @@ mod tests {
     fn characterized_vmin_source_works() {
         let mut c = quick_config(7, 0.005);
         c.vmin_source = VminSource::Characterized { trials: 50 };
-        let report = Campaign::new(c).run();
+        let report = Campaign::new(c).run_parallel(1);
         // The characterization lands on (or within a step of) the paper's
         // anchors.
         for (f, v) in &report.vmins {
@@ -614,7 +688,7 @@ mod tests {
     fn upset_rates_rise_across_sessions() {
         // Even an 8%-length campaign shows Table 2's rate ordering between
         // the extremes.
-        let report = Campaign::new(quick_config(8, 0.08)).run();
+        let report = Campaign::new(quick_config(8, 0.08)).run_parallel(1);
         let nominal = report.baseline().unwrap().upset_rate().per_minute();
         let v790 = report
             .session_at(OperatingPoint::vmin_900())
@@ -626,7 +700,7 @@ mod tests {
 
     #[test]
     fn sdc_share_explodes_at_vmin_2400() {
-        let report = Campaign::new(quick_config(9, 0.1)).run();
+        let report = Campaign::new(quick_config(9, 0.1)).run_parallel(1);
         let nominal_share = report.baseline().unwrap().failure_shares()[&FailureClass::Sdc];
         let vmin_share = report
             .session_at(OperatingPoint::vmin_2400())

@@ -73,7 +73,7 @@
 //!         ..SessionLimits::default()
 //!     },
 //! )];
-//! let report = Campaign::new(config).run();
+//! let report = Campaign::new(config).run_parallel(1);
 //! assert_eq!(report.sessions.len(), 1);
 //! ```
 

@@ -152,7 +152,7 @@ mod tests {
     fn report() -> CampaignReport {
         let mut config = CampaignConfig::paper_scaled(0.03);
         config.seed = 77;
-        Campaign::new(config).run()
+        Campaign::new(config).run_parallel(1)
     }
 
     #[test]

@@ -23,10 +23,10 @@ use std::sync::Arc;
 
 /// A run was cancelled at a wave boundary before completing.
 ///
-/// Returned by the `try_` execution entry points
+/// Returned by the engine entry points
 /// ([`crate::campaign::Campaign::try_run_recoverable`],
-/// [`crate::session::TestSession::try_run_planned`]) when their
-/// [`CancelToken`] fires. The journal, if any, holds every trial absorbed
+/// [`crate::session::TestSession::run`]) when their [`CancelToken`]
+/// fires. The journal, if any, holds every trial absorbed
 /// before the boundary and resumes bit-identically via
 /// [`crate::journal::start_or_resume`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

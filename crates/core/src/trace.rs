@@ -190,7 +190,7 @@ impl<A: SessionObserver, B: SessionObserver> SessionObserver for Tee<A, B> {
     }
 }
 
-/// The do-nothing observer (what plain `TestSession::run` uses).
+/// The do-nothing observer, for runs nothing watches.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
@@ -420,11 +420,25 @@ impl SessionObserver for Logbook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignRunOptions;
     use crate::dut::DeviceUnderTest;
     use crate::session::{SessionLimits, TestSession};
     use serscale_soc::platform::OperatingPoint;
     use serscale_stats::SimRng;
     use serscale_types::Flux;
+
+    /// Runs `session` off `seed` on one worker, reporting to `observer`.
+    fn observe(
+        session: &mut TestSession,
+        seed: u64,
+        observer: &mut dyn SessionObserver,
+    ) -> crate::session::SessionReport {
+        let options = &mut CampaignRunOptions::with_jobs(1);
+        let rng = &mut SimRng::seed_from(seed);
+        session
+            .run(rng, 0, options, observer)
+            .expect("no cancel token")
+    }
 
     fn logbook_for(minutes: f64, seed: u64) -> (crate::session::SessionReport, Logbook) {
         let point = OperatingPoint::vmin_2400();
@@ -435,7 +449,7 @@ mod tests {
             SessionLimits::time_boxed(serscale_types::SimDuration::from_minutes(minutes)),
         );
         let mut logbook = Logbook::new();
-        let report = session.run_observed(&mut SimRng::seed_from(seed), &mut logbook);
+        let report = observe(&mut session, seed, &mut logbook);
         (report, logbook)
     }
 
@@ -575,7 +589,7 @@ mod tests {
         let mut left = Logbook::new();
         let mut right = Logbook::new();
         let mut both = tee(&mut left, &mut right);
-        session.run_observed(&mut SimRng::seed_from(21), &mut both);
+        observe(&mut session, 21, &mut both);
         assert!(!left.is_empty());
         assert_eq!(left, right, "tee must mirror the full trace");
     }
@@ -611,9 +625,9 @@ mod tests {
                 SessionLimits::time_boxed(serscale_types::SimDuration::from_minutes(20.0)),
             )
         };
-        let plain = make().run(&mut SimRng::seed_from(9));
+        let plain = observe(&mut make(), 9, &mut NoopObserver);
         let mut logbook = Logbook::new();
-        let observed = make().run_observed(&mut SimRng::seed_from(9), &mut logbook);
+        let observed = observe(&mut make(), 9, &mut logbook);
         assert_eq!(plain, observed, "observation must not perturb the physics");
     }
 }

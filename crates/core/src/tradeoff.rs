@@ -102,7 +102,7 @@ mod tests {
                     serscale_types::SimDuration::from_minutes(960.0),
                 );
             }
-            Campaign::new(c).run()
+            Campaign::new(c).run_parallel(1)
         })
     }
 

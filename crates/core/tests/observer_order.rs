@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 
+use serscale_core::campaign::CampaignRunOptions;
 use serscale_core::classify::RunVerdict;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, StopReason, TestSession};
@@ -86,16 +87,19 @@ proptest! {
         let point = OperatingPoint::CAMPAIGN[point_idx];
 
         let mut waved = StampRecorder::default();
-        session(point, minutes).run_observed_with(
-            &mut SimRng::seed_from(seed),
-            jobs,
-            &mut waved,
-        );
+        session(point, minutes)
+            .run(
+                &mut SimRng::seed_from(seed),
+                0,
+                &mut CampaignRunOptions::with_jobs(jobs),
+                &mut waved,
+            )
+            .expect("no cancel token");
         assert_well_ordered(&waved.stamps);
         prop_assert!(waved.waves >= 1, "the wave engine reports its waves");
 
         let mut reference = StampRecorder::default();
-        session(point, minutes).run_reference_observed(
+        session(point, minutes).run_reference(
             &mut SimRng::seed_from(seed),
             &mut reference,
         );

@@ -729,8 +729,10 @@ impl ControlPlane {
     /// Blocks until [`request_shutdown`](Self::request_shutdown) is
     /// called (or `timeout` elapses, when given). Returns whether
     /// shutdown was requested — the `repro serve` main thread parks here.
+    /// A timeout that reaches past the host clock's range waits without
+    /// a deadline.
     pub fn wait_shutdown(&self, timeout: Option<Duration>) -> bool {
-        let deadline = timeout.map(|t| std::time::Instant::now() + t);
+        let deadline = timeout.and_then(|t| std::time::Instant::now().checked_add(t));
         let mut state = self.lock();
         while !state.shutdown {
             state = match deadline {
@@ -1407,6 +1409,14 @@ mod tests {
         // Fairness bound for 2 tenants: no tenant completes twice in a row
         // while the other still has queued work — i.e. strict alternation.
         assert_eq!(tenants, vec!["a", "b", "a", "b", "a", "b"], "{order:?}");
+    }
+
+    #[test]
+    fn wait_shutdown_takes_the_longest_timeout() {
+        let control = ControlPlane::start(ControlPlaneOptions::default());
+        control.request_shutdown();
+        assert!(control.wait_shutdown(Some(Duration::MAX)));
+        control.drain();
     }
 
     #[test]

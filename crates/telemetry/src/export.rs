@@ -397,7 +397,7 @@ mod tests {
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let campaign = small_campaign();
         // Run WITHOUT the observer: counters stay zero, report does not.
-        let report = campaign.run();
+        let report = campaign.run_parallel(1);
         let err = sink
             .crosscheck_campaign(&report)
             .expect_err("zero counters cannot match a live report");

@@ -681,12 +681,20 @@ impl SessionObserver for TelemetryObserver {
 mod tests {
     use super::*;
     use crate::export::{TelemetryOptions, TelemetrySink};
+    use serscale_core::campaign::CampaignRunOptions;
     use serscale_core::dut::DeviceUnderTest;
-    use serscale_core::session::{SessionLimits, TestSession};
+    use serscale_core::session::{SessionLimits, SessionReport, TestSession};
     use serscale_stats::SimRng;
     use serscale_types::Flux;
 
-    fn run_session(observer: &mut TelemetryObserver, minutes: f64, seed: u64) {
+    /// Runs a Vmin@2.4 GHz session of `minutes` off `seed` on `jobs`
+    /// workers, reporting to `observer`.
+    fn run_session(
+        observer: &mut dyn SessionObserver,
+        minutes: f64,
+        seed: u64,
+        jobs: usize,
+    ) -> SessionReport {
         let point = OperatingPoint::vmin_2400();
         let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
         let mut session = TestSession::new(
@@ -694,23 +702,23 @@ mod tests {
             Flux::per_cm2_s(1.5e6),
             SessionLimits::time_boxed(SimDuration::from_minutes(minutes)),
         );
-        session.run_observed(&mut SimRng::seed_from(seed), observer);
+        session
+            .run(
+                &mut SimRng::seed_from(seed),
+                0,
+                &mut CampaignRunOptions::with_jobs(jobs),
+                observer,
+            )
+            .expect("no cancel token")
     }
 
     #[test]
     fn observer_counts_match_an_independent_logbook() {
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let mut observer = sink.observer();
-        run_session(&mut observer, 120.0, 11);
-
+        run_session(&mut observer, 120.0, 11, 1);
+        let report = run_session(&mut serscale_core::trace::NoopObserver, 120.0, 11, 1);
         let point = OperatingPoint::vmin_2400();
-        let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
-        let mut session = TestSession::new(
-            dut,
-            Flux::per_cm2_s(1.5e6),
-            SessionLimits::time_boxed(SimDuration::from_minutes(120.0)),
-        );
-        let report = session.run(&mut SimRng::seed_from(11));
 
         let snap = sink.registry().snapshot();
         assert_eq!(snap.counter_total("runs_total", &[]), report.runs);
@@ -733,7 +741,7 @@ mod tests {
     fn per_domain_edac_counters_split_pmd_and_soc() {
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let mut observer = sink.observer();
-        run_session(&mut observer, 200.0, 5);
+        run_session(&mut observer, 200.0, 5, 1);
         let snap = sink.registry().snapshot();
         let pmd = snap.counter_total("edac_events", &[("domain", "PMD")]);
         let soc = snap.counter_total("edac_events", &[("domain", "SoC")]);
@@ -746,7 +754,7 @@ mod tests {
     fn wave_accounting_reflects_speculation() {
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let mut observer = sink.observer();
-        run_session(&mut observer, 30.0, 7);
+        run_session(&mut observer, 30.0, 7, 1);
         let snap = sink.registry().snapshot();
         let planned = snap.counter_total("wave_trials_planned_total", &[]);
         let absorbed = snap.counter_total("wave_trials_absorbed_total", &[]);
@@ -767,7 +775,7 @@ mod tests {
 
     #[test]
     fn retry_and_quarantine_counters_surface() {
-        use serscale_core::session::{ExecutionPlan, RetryPolicy};
+        use serscale_core::session::RetryPolicy;
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let mut observer = sink.observer();
         let point = OperatingPoint::nominal();
@@ -779,13 +787,17 @@ mod tests {
         );
         // A zero trial timeout fails every attempt, so every trial is
         // retried once and then quarantined.
-        let mut plan = ExecutionPlan::with_jobs(2);
-        plan.retry = RetryPolicy {
-            max_retries: 1,
-            backoff: std::time::Duration::ZERO,
-            timeout: Some(std::time::Duration::ZERO),
+        let mut options = CampaignRunOptions {
+            retry: RetryPolicy {
+                max_retries: 1,
+                backoff: std::time::Duration::ZERO,
+                timeout: Some(std::time::Duration::ZERO),
+            },
+            ..CampaignRunOptions::with_jobs(2)
         };
-        let report = session.run_planned(&mut SimRng::seed_from(9), plan, &mut observer);
+        let report = session
+            .run(&mut SimRng::seed_from(9), 0, &mut options, &mut observer)
+            .expect("no cancel token");
         assert!(!report.quarantined_trials.is_empty());
         let snap = sink.registry().snapshot();
         assert_eq!(
@@ -800,21 +812,9 @@ mod tests {
 
     #[test]
     fn worker_utilization_series_cover_the_pool() {
-        use serscale_core::session::ExecutionPlan;
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
-        let mut observer = sink.observer();
+        run_session(&mut sink.observer(), 60.0, 13, 2);
         let point = OperatingPoint::vmin_2400();
-        let dut = DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency));
-        let mut session = TestSession::new(
-            dut,
-            Flux::per_cm2_s(1.5e6),
-            SessionLimits::time_boxed(SimDuration::from_minutes(60.0)),
-        );
-        session.run_planned(
-            &mut SimRng::seed_from(13),
-            ExecutionPlan::with_jobs(2),
-            &mut observer,
-        );
         let snap = sink.registry().snapshot();
         let waves = snap.counter_total("waves_total", &[]);
         assert!(waves > 0, "a 60-minute session merges waves");
@@ -845,7 +845,7 @@ mod tests {
     fn event_stream_is_valid_jsonl() {
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());
         let mut observer = sink.observer();
-        run_session(&mut observer, 45.0, 3);
+        run_session(&mut observer, 45.0, 3, 1);
         let events = sink.events_jsonl();
         let docs = crate::json::parse_lines(&events).expect("stream parses");
         assert_eq!(

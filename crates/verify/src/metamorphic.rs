@@ -10,8 +10,10 @@
 //! exactly Poisson and make the metamorphic predictions sharp.
 
 use serscale_beam::{BeamFacility, BeamPosition, NeutronSpectrum, WeibullResponse};
+use serscale_core::campaign::CampaignRunOptions;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, SessionReport, TestSession};
+use serscale_core::trace::NoopObserver;
 use serscale_soc::platform::OperatingPoint;
 use serscale_sram::SoftErrorModel;
 use serscale_stats::{poisson_rate_test, SimRng};
@@ -94,7 +96,14 @@ fn probe_session(point: OperatingPoint, flux_scale: f64, minutes: f64, seed: u64
     let limits = SessionLimits::time_boxed(SimDuration::from_minutes(minutes));
     let mut session = TestSession::new(dut, flux, limits);
     let mut rng = SimRng::seed_from(seed);
-    session.run(&mut rng)
+    session
+        .run(
+            &mut rng,
+            0,
+            &mut CampaignRunOptions::with_jobs(1),
+            &mut NoopObserver,
+        )
+        .expect("no cancel token")
 }
 
 /// Live (beam-on, non-recovery) execution minutes of a session.

@@ -14,10 +14,12 @@
 //! session through the wave engine at `jobs` 1 and 8 against the
 //! per-event reference executor.
 
+use serscale_core::campaign::CampaignRunOptions;
 use serscale_core::classify::RunVerdict;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::runner::BenchmarkRunner;
 use serscale_core::session::{SessionLimits, TestSession};
+use serscale_core::trace::NoopObserver;
 use serscale_soc::platform::OperatingPoint;
 use serscale_stats::SimRng;
 use serscale_types::{Flux, Megahertz, Millivolts, SimDuration, SimInstant};
@@ -153,9 +155,16 @@ impl StatOracle for SamplerEquivalence {
                 limits,
             )
         };
-        let reference = session().run_reference(&mut SimRng::seed_from(seed));
+        let reference = session().run_reference(&mut SimRng::seed_from(seed), &mut NoopObserver);
         for jobs in [1usize, 8] {
-            let wave = session().run_parallel(&mut SimRng::seed_from(seed), jobs);
+            let wave = session()
+                .run(
+                    &mut SimRng::seed_from(seed),
+                    0,
+                    &mut CampaignRunOptions::with_jobs(jobs),
+                    &mut NoopObserver,
+                )
+                .expect("no cancel token");
             let agree = wave == reference;
             checks.push(CheckResult::new(
                 format!("session-jobs-{jobs}"),
@@ -239,9 +248,17 @@ mod tests {
                     limits,
                 )
             };
-            let reference = session().run_reference(&mut SimRng::seed_from(seed));
+            let reference =
+                session().run_reference(&mut SimRng::seed_from(seed), &mut NoopObserver);
             for jobs in [1usize, 8] {
-                let wave = session().run_parallel(&mut SimRng::seed_from(seed), jobs);
+                let wave = session()
+                    .run(
+                        &mut SimRng::seed_from(seed),
+                        0,
+                        &mut CampaignRunOptions::with_jobs(jobs),
+                        &mut NoopObserver,
+                    )
+                    .expect("no cancel token");
                 prop_assert_eq!(&wave, &reference, "jobs {} at {}", jobs, point.label());
             }
         }

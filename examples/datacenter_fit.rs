@@ -11,6 +11,7 @@
 //! cargo run --release -p serscale-bench --example datacenter_fit
 //! ```
 
+use serscale_core::campaign::{Campaign, CampaignConfig};
 use serscale_core::classify::FailureClass;
 use serscale_core::fit::{class_fit, total_fit};
 use serscale_soc::platform::OperatingPoint;
@@ -21,7 +22,9 @@ const HOURS_PER_YEAR: f64 = 24.0 * 365.25;
 
 fn main() {
     println!("simulating beam campaign (4 sessions, scaled)…");
-    let report = serscale_bench::run_campaign(0.25, 7);
+    let mut config = CampaignConfig::paper_scaled(0.25);
+    config.seed = 7;
+    let report = Campaign::new(config).run_parallel(1);
     let power_model = PowerModel::xgene2();
     let baseline_power = power_model.total_power(OperatingPoint::nominal());
 

@@ -6,9 +6,11 @@
 //! ```
 
 use serscale_beam::facility::{BeamFacility, BeamPosition};
+use serscale_core::campaign::CampaignRunOptions;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::fit::total_fit;
 use serscale_core::session::{SessionLimits, TestSession};
+use serscale_core::trace::NoopObserver;
 use serscale_soc::platform::OperatingPoint;
 use serscale_stats::SimRng;
 use serscale_types::SimDuration;
@@ -30,7 +32,14 @@ fn main() {
         let limits = SessionLimits::time_boxed(SimDuration::from_hours(1.0));
         let mut session = TestSession::new(dut, flux, limits);
         let mut rng = SimRng::seed_from(2023);
-        let report = session.run(&mut rng);
+        let report = session
+            .run(
+                &mut rng,
+                0,
+                &mut CampaignRunOptions::with_jobs(1),
+                &mut NoopObserver,
+            )
+            .expect("no cancel token");
 
         println!("\n=== {} ===", point.label());
         println!("  benchmark runs:     {}", report.runs);

@@ -15,6 +15,7 @@
 //! ```
 
 use serscale_core::avf::FaultInjector;
+use serscale_core::campaign::{Campaign, CampaignConfig};
 use serscale_core::checkpoint::{compare_to_nominal, ledger, CheckpointScheme};
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::explore::{recommend, sweep_voltage};
@@ -76,7 +77,9 @@ fn main() {
     // --- 3. recovery economics -------------------------------------------
     println!("== checkpoint/restart economics (harsh environment: 1e6 x NYC) ==");
     println!("   running a short beam campaign to measure per-point FIT…");
-    let report = serscale_bench::run_campaign(0.2, 4242);
+    let mut config = CampaignConfig::paper_scaled(0.2);
+    config.seed = 4242;
+    let report = Campaign::new(config).run_parallel(1);
     let scheme = CheckpointScheme::typical();
     let scale = 1.0e6; // avionics/space-adjacent flux, where recovery bites
     let ledgers: Vec<_> = report

@@ -29,7 +29,7 @@ fn campaign() -> &'static CampaignReport {
                 serscale_types::SimDuration::from_minutes(800.0),
             );
         }
-        Campaign::new(config).run()
+        Campaign::new(config).run_parallel(1)
     })
 }
 
@@ -129,7 +129,7 @@ fn full_campaign_shape() {
 fn table2_fluence_and_nyc_equivalents_scale() {
     let mut config = CampaignConfig::paper_scaled(0.1);
     config.seed = 3;
-    let report = Campaign::new(config).run();
+    let report = Campaign::new(config).run_parallel(1);
     for session in &report.sessions {
         // Fluence = working flux × duration.
         let expected = 1.5e6 * session.duration.as_secs();
@@ -182,7 +182,7 @@ fn memory_ser_stays_in_paper_band() {
 fn campaign_replays_bit_identically() {
     let mut config = CampaignConfig::paper_scaled(0.02);
     config.seed = 17;
-    let a = Campaign::new(config.clone()).run();
-    let b = Campaign::new(config).run();
+    let a = Campaign::new(config.clone()).run_parallel(1);
+    let b = Campaign::new(config).run_parallel(1);
     assert_eq!(a, b);
 }

@@ -6,7 +6,8 @@
 //! 1. **Isolation under concurrency** — N campaigns submitted by M
 //!    concurrent HTTP clients, interleaved on a shared worker pool, each
 //!    produce a report byte-identical to the same spec run solo through
-//!    the CLI path ([`run_campaign_jobs`]), at `jobs: 1` and `jobs: 8`.
+//!    the CLI path ([`Campaign::run_parallel`] on
+//!    [`campaign_config`]), at `jobs: 1` and `jobs: 8`.
 //! 2. **The resume oracle** — `DELETE` mid-run cancels at a wave
 //!    boundary with the journal resumable; resubmitting the spec with
 //!    `"resume": <id>` replays the absorbed prefix and finishes to the
@@ -20,9 +21,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serscale_bench::{golden_summary, run_campaign_jobs};
+use serscale_bench::campaign_config;
 use serscale_core::campaign::Campaign;
+use serscale_core::report::golden_summary;
 use serscale_core::spec::{CampaignSpec, RawCampaignSpec, RawSessionSpec};
+use serscale_soc::PlatformSpec;
 use serscale_telemetry::json::{self, JsonValue};
 use serscale_telemetry::serve::{http_get, http_request, MonitorServer};
 use serscale_telemetry::{ControlPlane, ControlPlaneOptions, TelemetryOptions, TelemetrySink};
@@ -122,7 +125,8 @@ fn concurrent_http_submissions_match_solo_cli_runs_bit_for_bit() {
 
     for client in clients {
         let (seed, jobs, service_report) = client.join().expect("client thread");
-        let solo = golden_summary(&run_campaign_jobs(SCALE, seed, jobs as usize));
+        let config = campaign_config(&PlatformSpec::xgene2(), SCALE, seed);
+        let solo = golden_summary(&Campaign::new(config).run_parallel(jobs as usize));
         assert_eq!(
             service_report, solo,
             "seed {seed} jobs {jobs}: service report differs from the solo CLI run"

@@ -2,8 +2,10 @@
 //! paper identifies, checked through the assembled stack rather than in
 //! isolation.
 
+use serscale_core::campaign::CampaignRunOptions;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, TestSession};
+use serscale_core::trace::NoopObserver;
 use serscale_soc::edac::EdacSeverity;
 use serscale_soc::platform::OperatingPoint;
 use serscale_stats::SimRng;
@@ -22,7 +24,14 @@ fn run_session(
         Flux::per_cm2_s(WORKING_FLUX),
         SessionLimits::time_boxed(SimDuration::from_minutes(minutes)),
     );
-    session.run(&mut SimRng::seed_from(seed))
+    session
+        .run(
+            &mut SimRng::seed_from(seed),
+            0,
+            &mut CampaignRunOptions::with_jobs(1),
+            &mut NoopObserver,
+        )
+        .expect("no cancel token")
 }
 
 #[test]

@@ -11,13 +11,22 @@
 //!     > tests/golden/campaign_smoke.txt
 //! ```
 
-use serscale_bench::{golden_summary, run_campaign_jobs, GOLDEN_SCALE, REPRO_SEED};
+use serscale_bench::{campaign_config, GOLDEN_SCALE, REPRO_SEED};
+use serscale_core::campaign::Campaign;
+use serscale_core::report::golden_summary;
+use serscale_soc::PlatformSpec;
 
 const GOLDEN: &str = include_str!("golden/campaign_smoke.txt");
 
+/// The golden summary of the pinned campaign run on `jobs` workers.
+fn golden_at(jobs: usize) -> String {
+    let config = campaign_config(&PlatformSpec::xgene2(), GOLDEN_SCALE, REPRO_SEED);
+    golden_summary(&Campaign::new(config).run_parallel(jobs))
+}
+
 #[test]
 fn scaled_campaign_matches_the_golden_artifact() {
-    let fresh = golden_summary(&run_campaign_jobs(GOLDEN_SCALE, REPRO_SEED, 2));
+    let fresh = golden_at(2);
     assert_eq!(
         fresh, GOLDEN,
         "campaign drifted from the golden artifact; if intentional, regenerate it \
@@ -27,9 +36,9 @@ fn scaled_campaign_matches_the_golden_artifact() {
 
 #[test]
 fn golden_summary_is_jobs_invariant() {
-    let sequential = golden_summary(&run_campaign_jobs(GOLDEN_SCALE, REPRO_SEED, 1));
+    let sequential = golden_at(1);
     for jobs in [3, 8] {
-        let parallel = golden_summary(&run_campaign_jobs(GOLDEN_SCALE, REPRO_SEED, jobs));
+        let parallel = golden_at(jobs);
         assert_eq!(parallel, sequential, "jobs = {jobs}");
     }
 }

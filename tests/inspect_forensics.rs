@@ -28,9 +28,11 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use serscale_bench::run_campaign_recovering_monitored;
-use serscale_core::session::RetryPolicy;
-use serscale_core::trace::SessionObserver;
+use serscale_bench::campaign_config;
+use serscale_core::campaign::{Campaign, CampaignReport, CampaignRunOptions};
+use serscale_core::journal::start_or_resume;
+use serscale_core::trace::{NoopObserver, SessionObserver};
+use serscale_soc::PlatformSpec;
 use serscale_telemetry::inspect::{exact_quantile, inspect_dir};
 use serscale_telemetry::json::{self, JsonValue};
 use serscale_telemetry::metrics::SeriesKey;
@@ -52,22 +54,27 @@ fn case_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Runs the campaign on `jobs` workers, journaled into the fresh
+/// directory `dir` and reported through `observer`.
+fn journaled_run(dir: &Path, jobs: usize, observer: &mut dyn SessionObserver) -> CampaignReport {
+    let campaign = Campaign::new(campaign_config(&PlatformSpec::xgene2(), SCALE, SEED));
+    let (mut journal, _) = start_or_resume(dir, campaign.config()).expect("journal opens");
+    campaign.run_recoverable(
+        CampaignRunOptions {
+            journal: Some(&mut journal),
+            ..CampaignRunOptions::with_jobs(jobs)
+        },
+        observer,
+    )
+}
+
 /// Runs a journaled, telemetry-observed campaign whose journal and
 /// telemetry artifacts land in the same directory, returning the sink
 /// for live-registry comparison.
 fn observed_run(dir: &Path, jobs: usize) -> TelemetrySink {
     let sink = TelemetrySink::new(dir, TelemetryOptions::default()).expect("sink dir");
     let mut observer = sink.observer();
-    run_campaign_recovering_monitored(
-        SCALE,
-        SEED,
-        jobs,
-        RetryPolicy::standard(),
-        dir,
-        None,
-        &mut observer,
-    )
-    .expect("campaign runs");
+    journaled_run(dir, jobs, &mut observer);
     drop(observer);
     sink.write().expect("artifacts written");
     sink
@@ -121,34 +128,13 @@ fn inspect_reproduces_live_worker_and_critical_path_totals_exactly() {
 /// nor a single journal byte, at both jobs counts.
 #[test]
 fn telemetry_layer_leaves_report_and_journal_bytes_unchanged() {
-    struct Discard;
-    impl SessionObserver for Discard {}
-
     for jobs in [1usize, 8] {
         let bare_dir = case_dir(&format!("bare-j{jobs}"));
-        let (bare_report, _) = run_campaign_recovering_monitored(
-            SCALE,
-            SEED,
-            jobs,
-            RetryPolicy::standard(),
-            &bare_dir,
-            None,
-            &mut Discard,
-        )
-        .expect("bare run");
+        let bare_report = journaled_run(&bare_dir, jobs, &mut NoopObserver);
         let observed_dir = case_dir(&format!("observed-j{jobs}"));
         let sink = TelemetrySink::new(&observed_dir, TelemetryOptions::default()).expect("sink");
         let mut observer = sink.observer();
-        let (observed_report, _) = run_campaign_recovering_monitored(
-            SCALE,
-            SEED,
-            jobs,
-            RetryPolicy::standard(),
-            &observed_dir,
-            None,
-            &mut observer,
-        )
-        .expect("observed run");
+        let observed_report = journaled_run(&observed_dir, jobs, &mut observer);
         assert_eq!(
             bare_report, observed_report,
             "jobs {jobs}: telemetry must not touch the report"

@@ -8,6 +8,7 @@
 //! push the session's EDAC records through the health log → verify the
 //! mailbox-collected counts equal the session report's.
 
+use serscale_core::campaign::CampaignRunOptions;
 use serscale_core::dut::DeviceUnderTest;
 use serscale_core::session::{SessionLimits, TestSession};
 use serscale_core::trace::{LogEvent, Logbook};
@@ -42,7 +43,14 @@ fn full_mailbox_driven_session() {
         SessionLimits::time_boxed(SimDuration::from_minutes(90.0)),
     );
     let mut logbook = Logbook::new();
-    let report = session.run_observed(&mut SimRng::seed_from(55), &mut logbook);
+    let report = session
+        .run(
+            &mut SimRng::seed_from(55),
+            0,
+            &mut CampaignRunOptions::with_jobs(1),
+            &mut logbook,
+        )
+        .expect("no cancel token");
     assert!(
         report.memory_upsets > 0,
         "a 90-minute Vmin session must log upsets"

@@ -75,7 +75,7 @@ fn step4_campaign_driven_by_characterized_vmins() {
     let mut config = CampaignConfig::paper_scaled(0.01);
     config.seed = 23;
     config.vmin_source = VminSource::Characterized { trials: 80 };
-    let report = Campaign::new(config).run();
+    let report = Campaign::new(config).run_parallel(1);
     assert_eq!(report.sessions.len(), 4);
     for (f, v) in &report.vmins {
         let paper = DeviceUnderTest::paper_vmin(*f);
