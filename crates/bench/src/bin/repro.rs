@@ -36,7 +36,7 @@ use serscale_core::journal::{
 };
 use serscale_core::report::golden_summary;
 use serscale_core::session::RetryPolicy;
-use serscale_core::trace::{tee, Logbook, NoopObserver};
+use serscale_core::trace::NoopObserver;
 use serscale_soc::PlatformSpec;
 use serscale_telemetry::{
     ControlPlane, ControlPlaneOptions, ProgressMode, TelemetryOptions, TelemetrySink,
@@ -246,9 +246,9 @@ fn resolve_platform(arg: &str) -> Result<PlatformSpec, String> {
 ///
 /// With `journal_dir` the run is journaled, and resumed when the
 /// directory already holds a journal for this configuration. With `sink`
-/// the run is observed: the sink and the `trace` logbook see every event,
-/// `/campaign` publishes the campaign's facts and `/healthz` watches the
-/// journal's fsyncs. Neither changes a byte of the report.
+/// the run is observed: the sink sees every event, `/campaign` publishes
+/// the campaign's facts and `/healthz` watches the journal's fsyncs.
+/// Neither changes a byte of the report.
 fn execute(
     args: &Args,
     platform: &PlatformSpec,
@@ -256,7 +256,6 @@ fn execute(
     seed: u64,
     journal_dir: Option<&Path>,
     sink: Option<&TelemetrySink>,
-    trace: &mut Logbook,
 ) -> Result<CampaignReport, String> {
     let campaign = Campaign::new(campaign_config(platform, scale, seed));
     let (mut writer, recovered) = match journal_dir {
@@ -296,7 +295,7 @@ fn execute(
         cancel: None,
     };
     Ok(match sink {
-        Some(sink) => campaign.run_recoverable(options, &mut tee(trace, sink.observer())),
+        Some(sink) => campaign.run_recoverable(options, &mut sink.observer()),
         None => campaign.run_recoverable(options, &mut NoopObserver),
     })
 }
@@ -795,14 +794,13 @@ fn main() -> ExitCode {
     // The journal and the sink attach to the analysis campaign when one
     // runs, otherwise to the golden run (the only campaign of the
     // invocation).
-    let mut trace = Logbook::new();
-    let mut run = |scale: f64, seed: u64, attached: bool| {
+    let run = |scale: f64, seed: u64, attached: bool| {
         let (journal, observed) = if attached {
             (journal_dir.as_deref(), sink.as_ref())
         } else {
             (None, None)
         };
-        execute(&args, &platform, scale, seed, journal, observed, &mut trace)
+        execute(&args, &platform, scale, seed, journal, observed)
     };
     let golden_report = if args.golden {
         // The golden diff is pinned to one (scale, seed) pair; only the
@@ -915,10 +913,7 @@ fn main() -> ExitCode {
         if args.telemetry_out.is_some() {
             // Artifacts land before any linger window, so a live scrape
             // during the window and the on-disk snapshot agree exactly.
-            if let Err(e) = sink
-                .write()
-                .and_then(|_| sink.write_extra("trace.jsonl", &trace.to_jsonl()))
-            {
+            if let Err(e) = sink.write() {
                 eprintln!("repro: telemetry write failed: {e}");
                 return ExitCode::FAILURE;
             }

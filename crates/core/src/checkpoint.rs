@@ -132,8 +132,8 @@ impl CheckpointScheme {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"checkpoint_cost_s\":{},\"restart_cost_s\":{}}}",
-            crate::trace::fmt_f64(self.checkpoint_cost.as_secs()),
-            crate::trace::fmt_f64(self.restart_cost.as_secs())
+            crate::json::number(self.checkpoint_cost.as_secs()),
+            crate::json::number(self.restart_cost.as_secs())
         )
     }
 
@@ -146,11 +146,11 @@ impl CheckpointScheme {
     ///
     /// Returns a description of the first syntactic or semantic problem.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = crate::journal::Json::parse(text)?;
+        let value = crate::json::parse(text)?;
         let field = |key: &str| {
             value
                 .get(key)
-                .and_then(crate::journal::Json::f64)
+                .and_then(crate::json::JsonValue::as_f64)
                 .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
         };
         let raw = RawCheckpointScheme {

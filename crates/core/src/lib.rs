@@ -49,6 +49,8 @@
 //!   yielding bit-identical campaign reports at any thread count;
 //! * [`trace`] — the campaign logbook: an ordered, renderable event trace
 //!   of every run, EDAC report and recovery;
+//! * [`json`] — the one JSON codec behind every wire format (journal,
+//!   trace, telemetry streams, HTTP bodies, platform specs);
 //! * [`report`] — neutral plain-text campaign summaries with 95 %
 //!   intervals;
 //! * [`policy`] — DVFS throttling vs guardband harvesting, quantified.
@@ -89,6 +91,7 @@ pub mod dut;
 pub mod explore;
 pub mod fit;
 pub mod journal;
+pub mod json;
 pub mod parallel;
 pub mod policy;
 pub mod report;

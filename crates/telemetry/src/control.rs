@@ -46,13 +46,13 @@ use std::time::{Duration, Instant};
 
 use serscale_core::campaign::{Campaign, CampaignRunOptions};
 use serscale_core::journal::{config_fingerprint, journal_path, start_or_resume};
+use serscale_core::json::{self, JsonValue};
 use serscale_core::report::golden_summary;
 use serscale_core::scheduler::{CancelToken, Cancelled, FairQueue};
 use serscale_core::session::RetryPolicy;
 use serscale_core::spec::{CampaignSpec, RawCampaignSpec, RawSessionSpec, SpecError};
 
 use crate::export::{TelemetryOptions, TelemetrySink};
-use crate::json::{self, JsonValue};
 
 /// Upper bound on queued + live jobs a control plane will hold before
 /// refusing submissions (backpressure, and a memory bound: job state is
@@ -1100,26 +1100,15 @@ pub fn parse_spec(body: &str) -> Result<CampaignSpec, SpecError> {
 fn want_number(field: &str, value: &JsonValue) -> Result<f64, SpecError> {
     value.as_f64().ok_or_else(|| SpecError {
         field: field.to_string(),
-        reason: format!("expected a number, got {}", kind(value)),
+        reason: format!("expected a number, got {}", value.kind()),
     })
 }
 
 fn want_string(field: &str, value: &JsonValue) -> Result<String, SpecError> {
     value.as_str().map(str::to_string).ok_or_else(|| SpecError {
         field: field.to_string(),
-        reason: format!("expected a string, got {}", kind(value)),
+        reason: format!("expected a string, got {}", value.kind()),
     })
-}
-
-fn kind(value: &JsonValue) -> &'static str {
-    match value {
-        JsonValue::Null => "null",
-        JsonValue::Bool(_) => "a boolean",
-        JsonValue::Number(_) => "a number",
-        JsonValue::String(_) => "a string",
-        JsonValue::Array(_) => "an array",
-        JsonValue::Object(_) => "an object",
-    }
 }
 
 /// Maps a parsed JSON document onto the permissive carrier. Unknown
@@ -1134,7 +1123,7 @@ pub fn raw_spec_from_json(doc: &JsonValue) -> Result<RawCampaignSpec, SpecError>
     let JsonValue::Object(map) = doc else {
         return Err(SpecError {
             field: "body".to_string(),
-            reason: format!("expected a JSON object, got {}", kind(doc)),
+            reason: format!("expected a JSON object, got {}", doc.kind()),
         });
     };
     let mut raw = RawCampaignSpec::default();
@@ -1152,7 +1141,7 @@ pub fn raw_spec_from_json(doc: &JsonValue) -> Result<RawCampaignSpec, SpecError>
                 let JsonValue::Array(items) = value else {
                     return Err(SpecError {
                         field: "sessions".to_string(),
-                        reason: format!("expected an array, got {}", kind(value)),
+                        reason: format!("expected an array, got {}", value.kind()),
                     });
                 };
                 let mut sessions = Vec::with_capacity(items.len());
@@ -1185,7 +1174,7 @@ fn raw_session_from_json(at: usize, doc: &JsonValue) -> Result<RawSessionSpec, S
     let JsonValue::Object(map) = doc else {
         return Err(SpecError {
             field: format!("sessions[{at}]"),
-            reason: format!("expected an object, got {}", kind(doc)),
+            reason: format!("expected an object, got {}", doc.kind()),
         });
     };
     let mut raw = RawSessionSpec::default();

@@ -41,12 +41,11 @@ use std::path::Path;
 
 use serscale_core::classify::RunVerdict;
 use serscale_core::journal::{journal_path, read_journal, Record};
+use serscale_core::json;
 use serscale_soc::edac::EdacSeverity;
 use serscale_soc::platform::OperatingPoint;
 use serscale_stats::ci::{poisson_ci, poisson_relative_uncertainty};
 use serscale_types::{ArrayKind, SimInstant, VoltageDomain};
-
-use crate::json;
 
 /// Confidence level of every interval the plane reports.
 pub const CI_LEVEL: f64 = 0.95;

@@ -11,9 +11,9 @@
 //! | `metrics.prom`| Prometheus text exposition snapshot of all series   |
 //! | `summary.txt` | the human summary table also printed at end of run  |
 //!
-//! The JSONL stream is re-parsed with the crate's own [`crate::json`]
-//! parser before anything touches disk, so a malformed line fails the
-//! run loudly instead of poisoning downstream tooling. The
+//! The JSONL stream is re-parsed with the workspace's JSON codec
+//! ([`serscale_core::json`]) before anything touches disk, so a malformed
+//! line fails the run loudly instead of poisoning downstream tooling. The
 //! [`TelemetrySink::crosscheck_campaign`] method closes the loop the
 //! other way: it proves the exported `edac_events` counters agree with
 //! the simulation's own [`CampaignReport`] per voltage domain.
@@ -23,12 +23,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use serscale_core::campaign::CampaignReport;
+use serscale_core::journal::SyncProbe;
+use serscale_core::json;
 use serscale_types::CacheLevel;
 
-use serscale_core::journal::SyncProbe;
-
 use crate::convergence::{ConvergenceSnapshot, ConvergenceTracker};
-use crate::json;
 use crate::metrics::{Registry, Shard};
 use crate::observer::TelemetryObserver;
 use crate::progress::{Progress, ProgressMode};
@@ -359,17 +358,6 @@ impl TelemetrySink {
             paths.push(path);
         }
         Ok(paths)
-    }
-
-    /// Writes an extra artifact (e.g. the Logbook trace) next to the
-    /// standard four.
-    pub fn write_extra(&self, name: &str, contents: &str) -> std::io::Result<PathBuf> {
-        let dir = self.dir.clone().ok_or_else(|| {
-            std::io::Error::other("telemetry sink has no output directory (in-memory sink)")
-        })?;
-        let path = dir.join(name);
-        std::fs::write(&path, contents)?;
-        Ok(path)
     }
 }
 

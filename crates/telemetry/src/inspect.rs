@@ -38,8 +38,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use serscale_core::journal::{journal_path, read_journal, Record};
-
-use crate::json::{self, JsonValue};
+use serscale_core::json::{self, JsonValue};
 
 /// One span parsed back from `spans.jsonl`.
 #[derive(Debug, Clone, PartialEq)]

@@ -37,9 +37,8 @@
 //! - [`progress`] — a rate-limited stderr progress reporter for
 //!   interactive runs (TTY-aware: in-place rewrites on terminals, plain
 //!   periodic lines otherwise; off in CI and golden runs).
-//! - [`json`] — a minimal JSON writer *and parser*; the exporters
-//!   self-verify their streams because the vendored `serde` is a no-op
-//!   stand-in.
+//! - [`json`] — a re-export of [`serscale_core::json`], the workspace's
+//!   one JSON codec; the exporters self-verify their streams with it.
 //! - [`platform`] — the JSON wire format for
 //!   [`PlatformSpec`](serscale_soc::PlatformSpec) documents, behind
 //!   `repro --platform <file>`: strict unknown-field rejection on the way
@@ -60,13 +59,18 @@ pub mod control;
 pub mod convergence;
 pub mod export;
 pub mod inspect;
-pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod platform;
 pub mod progress;
 pub mod serve;
 pub mod span;
+
+/// The workspace's JSON codec, re-exported from [`serscale_core::json`].
+/// Telemetry code imports it from core; this path stays only because
+/// `perfbench/` (a separate workspace) imports
+/// `serscale_telemetry::json::{self, JsonValue}`.
+pub use serscale_core::json;
 
 pub use control::{ControlPlane, ControlPlaneOptions};
 pub use convergence::{ConvergenceSnapshot, ConvergenceTracker};

@@ -22,6 +22,7 @@
 use std::sync::{Arc, Mutex};
 
 use serscale_core::classify::{FailureClass, RunVerdict};
+use serscale_core::json;
 use serscale_core::session::StopReason;
 use serscale_core::trace::{SessionObserver, WaveStats};
 use serscale_soc::edac::{EdacRecord, EdacSeverity};
@@ -93,7 +94,7 @@ struct SessionState {
 impl SessionState {
     fn new(shard: &Shard, point: OperatingPoint, span: SpanId) -> Self {
         let voltage = point.label();
-        let voltage_json = crate::json::escape(&voltage);
+        let voltage_json = json::escape(&voltage);
         SessionState {
             point,
             span,
@@ -138,7 +139,7 @@ impl SessionState {
                     &[("voltage", &self.voltage), ("benchmark", &name)],
                 );
                 self.run_counters
-                    .push((benchmark, counter, crate::json::escape(&name)));
+                    .push((benchmark, counter, json::escape(&name)));
                 self.run_counters.len() - 1
             }
         };
@@ -192,7 +193,7 @@ impl SessionState {
             Some(pos) => pos,
             None => {
                 self.array_json
-                    .push((array, crate::json::escape(&array.to_string())));
+                    .push((array, json::escape(&array.to_string())));
                 self.array_json.len() - 1
             }
         };
@@ -489,7 +490,7 @@ impl SessionObserver for TelemetryObserver {
         self.push_event(&format!(
             "{{\"event\":\"session_start\",\"t_s\":{},\"voltage\":{},\"pmd_mv\":{pmd},\
              \"soc_mv\":{soc},\"freq_mhz\":{freq}}}",
-            crate::json::number(at.as_secs()),
+            json::number(at.as_secs()),
             state.voltage_json,
         ));
         self.progress
@@ -529,7 +530,7 @@ impl SessionObserver for TelemetryObserver {
         let line = format!(
             "{{\"event\":\"run\",\"t_s\":{},\"voltage\":{},\"benchmark\":{bench_json},\
              \"verdict\":\"{kind}\",\"ce_notified\":{notified}}}",
-            crate::json::number(start.as_secs()),
+            json::number(start.as_secs()),
             self.state.as_ref().expect("state set above").voltage_json,
         );
         self.push_event(&line);
@@ -554,7 +555,7 @@ impl SessionObserver for TelemetryObserver {
         let line = format!(
             "{{\"event\":\"edac\",\"t_s\":{},\"voltage\":{},\"array\":{array_json},\
              \"domain\":\"{domain}\",\"severity\":\"{severity}\"}}",
-            crate::json::number(record.time.as_secs()),
+            json::number(record.time.as_secs()),
             state.voltage_json,
         );
         self.push_event(&line);
@@ -567,9 +568,9 @@ impl SessionObserver for TelemetryObserver {
         state.recovery_hist.observe(duration.as_secs());
         let line = format!(
             "{{\"event\":\"recovery\",\"t_s\":{},\"voltage\":{},\"duration_s\":{}}}",
-            crate::json::number(start.as_secs()),
+            json::number(start.as_secs()),
             state.voltage_json,
-            crate::json::number(duration.as_secs()),
+            json::number(duration.as_secs()),
         );
         self.push_event(&line);
     }
@@ -615,7 +616,7 @@ impl SessionObserver for TelemetryObserver {
         self.push_event(&format!(
             "{{\"event\":\"session_end\",\"t_s\":{},\"voltage\":{},\"reason\":\"{reason_text}\",\
              \"runs\":{},\"upsets\":{}}}",
-            crate::json::number(at.as_secs()),
+            json::number(at.as_secs()),
             state.voltage_json,
             state.runs,
             state.upsets,
@@ -847,7 +848,7 @@ mod tests {
         let mut observer = sink.observer();
         run_session(&mut observer, 45.0, 3, 1);
         let events = sink.events_jsonl();
-        let docs = crate::json::parse_lines(&events).expect("stream parses");
+        let docs = json::parse_lines(&events).expect("stream parses");
         assert_eq!(
             docs.len() as u64,
             sink.registry()
@@ -855,9 +856,7 @@ mod tests {
                 .counter_total("telemetry_events_total", &[])
         );
         assert_eq!(
-            docs[0]
-                .get("event")
-                .and_then(crate::json::JsonValue::as_str),
+            docs[0].get("event").and_then(json::JsonValue::as_str),
             Some("session_start")
         );
     }

@@ -13,12 +13,11 @@
 
 use std::collections::BTreeMap;
 
+use serscale_core::json::{self, JsonValue};
 use serscale_soc::spec::{
     RawArraySpec, RawCampaignPointSpec, RawPhysicsSpec, RawPowerSpec, RawRailSpec, RawVminAnchors,
 };
 use serscale_soc::{PlatformSpec, RawPlatformSpec, SpecError};
-
-use crate::json::{self, JsonValue};
 
 /// Parses and validates a JSON platform document.
 ///
@@ -34,28 +33,17 @@ pub fn parse_platform(body: &str) -> Result<PlatformSpec, SpecError> {
     PlatformSpec::try_from(raw)
 }
 
-fn kind(value: &JsonValue) -> &'static str {
-    match value {
-        JsonValue::Null => "null",
-        JsonValue::Bool(_) => "a boolean",
-        JsonValue::Number(_) => "a number",
-        JsonValue::String(_) => "a string",
-        JsonValue::Array(_) => "an array",
-        JsonValue::Object(_) => "an object",
-    }
-}
-
 fn want_number(field: &str, value: &JsonValue) -> Result<f64, SpecError> {
     value
         .as_f64()
-        .ok_or_else(|| SpecError::new(field, format!("expected a number, got {}", kind(value))))
+        .ok_or_else(|| SpecError::new(field, format!("expected a number, got {}", value.kind())))
 }
 
 fn want_string(field: &str, value: &JsonValue) -> Result<String, SpecError> {
     value
         .as_str()
         .map(str::to_string)
-        .ok_or_else(|| SpecError::new(field, format!("expected a string, got {}", kind(value))))
+        .ok_or_else(|| SpecError::new(field, format!("expected a string, got {}", value.kind())))
 }
 
 fn want_object<'a>(
@@ -66,7 +54,7 @@ fn want_object<'a>(
         JsonValue::Object(map) => Ok(map),
         other => Err(SpecError::new(
             field,
-            format!("expected an object, got {}", kind(other)),
+            format!("expected an object, got {}", other.kind()),
         )),
     }
 }
@@ -76,7 +64,7 @@ fn want_array<'a>(field: &str, value: &'a JsonValue) -> Result<&'a Vec<JsonValue
         JsonValue::Array(items) => Ok(items),
         other => Err(SpecError::new(
             field,
-            format!("expected an array, got {}", kind(other)),
+            format!("expected an array, got {}", other.kind()),
         )),
     }
 }
@@ -232,7 +220,7 @@ pub fn raw_platform_from_json(doc: &JsonValue) -> Result<RawPlatformSpec, SpecEr
     let JsonValue::Object(map) = doc else {
         return Err(SpecError::new(
             "body",
-            format!("expected a JSON object, got {}", kind(doc)),
+            format!("expected a JSON object, got {}", doc.kind()),
         ));
     };
     let mut raw = RawPlatformSpec::default();

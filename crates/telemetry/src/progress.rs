@@ -25,6 +25,8 @@
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
+use serscale_core::json;
+
 /// Minimum wall time between emitted lines in interactive mode.
 const EMIT_EVERY: Duration = Duration::from_millis(250);
 
@@ -86,40 +88,34 @@ pub struct ProgressSnapshot {
 
 impl ProgressSnapshot {
     /// The snapshot as one JSON object (hand-rolled like the rest of the
-    /// crate; verified by [`crate::json::parse`] in tests).
+    /// crate; verified by [`json::parse`] in tests).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"voltage\":{}",
-            crate::json::escape(&self.voltage)
-        ));
+        out.push_str(&format!("\"voltage\":{}", json::escape(&self.voltage)));
         out.push_str(&format!(",\"trials\":{}", self.trials));
         out.push_str(&format!(",\"session_upsets\":{}", self.session_upsets));
         out.push_str(&format!(
             ",\"upsets_per_minute\":{}",
-            crate::json::number(self.upsets_per_minute)
+            json::number(self.upsets_per_minute)
         ));
         out.push_str(&format!(
             ",\"sim_seconds\":{}",
-            crate::json::number(self.sim_seconds)
+            json::number(self.sim_seconds)
         ));
         match self.target_sim_seconds {
-            Some(t) => out.push_str(&format!(
-                ",\"target_sim_seconds\":{}",
-                crate::json::number(t)
-            )),
+            Some(t) => out.push_str(&format!(",\"target_sim_seconds\":{}", json::number(t))),
             None => out.push_str(",\"target_sim_seconds\":null"),
         }
         match self.fraction {
-            Some(f) => out.push_str(&format!(",\"fraction\":{}", crate::json::number(f))),
+            Some(f) => out.push_str(&format!(",\"fraction\":{}", json::number(f))),
             None => out.push_str(",\"fraction\":null"),
         }
         out.push_str(&format!(
             ",\"elapsed_seconds\":{}",
-            crate::json::number(self.elapsed_seconds)
+            json::number(self.elapsed_seconds)
         ));
         match self.eta_seconds {
-            Some(e) => out.push_str(&format!(",\"eta_seconds\":{}", crate::json::number(e))),
+            Some(e) => out.push_str(&format!(",\"eta_seconds\":{}", json::number(e))),
             None => out.push_str(",\"eta_seconds\":null"),
         }
         match self.cells_resolved {
@@ -131,20 +127,17 @@ impl ProgressSnapshot {
             None => out.push_str(",\"cells_total\":null"),
         }
         match &self.widest_cell {
-            Some(name) => out.push_str(&format!(",\"widest_cell\":{}", crate::json::escape(name))),
+            Some(name) => out.push_str(&format!(",\"widest_cell\":{}", json::escape(name))),
             None => out.push_str(",\"widest_cell\":null"),
         }
         match self.widest_rel_halfwidth {
-            Some(w) => out.push_str(&format!(
-                ",\"widest_rel_halfwidth\":{}",
-                crate::json::number(w)
-            )),
+            Some(w) => out.push_str(&format!(",\"widest_rel_halfwidth\":{}", json::number(w))),
             None => out.push_str(",\"widest_rel_halfwidth\":null"),
         }
         match self.widest_projected_sim_seconds {
             Some(s) => out.push_str(&format!(
                 ",\"widest_projected_sim_seconds\":{}",
-                crate::json::number(s)
+                json::number(s)
             )),
             None => out.push_str(",\"widest_projected_sim_seconds\":null"),
         }
@@ -384,7 +377,7 @@ impl Progress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{self, JsonValue};
+    use serscale_core::json::{self, JsonValue};
 
     #[test]
     fn disabled_reporter_collects_but_never_prints() {

@@ -67,9 +67,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use serscale_core::journal::SyncProbe;
+use serscale_core::json;
 
 use crate::control::ControlPlane;
-use crate::json;
 use crate::metrics::{Registry, Shard};
 use crate::progress::Progress;
 use crate::span::Tracer;
@@ -1034,7 +1034,7 @@ fn decode_chunked(mut rest: &[u8]) -> String {
 mod tests {
     use super::*;
     use crate::export::{TelemetryOptions, TelemetrySink};
-    use crate::json::JsonValue;
+    use serscale_core::json::JsonValue;
 
     fn sink_with_server() -> (TelemetrySink, MonitorServer) {
         let sink = TelemetrySink::in_memory(TelemetryOptions::default());

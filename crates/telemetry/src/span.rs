@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::json;
+use serscale_core::json;
 
 /// The level of a span in the campaign hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -279,7 +279,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{self, JsonValue};
+    use serscale_core::json::{self, JsonValue};
 
     #[test]
     fn spans_nest_and_close() {

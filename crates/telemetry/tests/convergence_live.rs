@@ -18,11 +18,12 @@ use std::sync::Arc;
 
 use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
 use serscale_core::journal::start_or_resume;
+use serscale_core::json;
 use serscale_core::session::RetryPolicy;
 use serscale_core::trace::{tee, Logbook, NoopObserver};
 use serscale_telemetry::convergence::ConvergenceTracker;
 use serscale_telemetry::serve::http_get;
-use serscale_telemetry::{json, TelemetryOptions, TelemetrySink};
+use serscale_telemetry::{TelemetryOptions, TelemetrySink};
 
 const SCALE: f64 = 0.005;
 const SEED: u64 = 20231028;

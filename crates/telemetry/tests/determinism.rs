@@ -4,6 +4,7 @@
 //! the report it shadowed.
 
 use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport};
+use serscale_core::json::{self, JsonValue};
 use serscale_core::trace::{tee, Logbook};
 use serscale_telemetry::{TelemetryOptions, TelemetrySink};
 use serscale_types::CacheLevel;
@@ -44,6 +45,7 @@ fn telemetry_is_invisible_to_report_and_trace_at_any_jobs() {
     let (parallel_report, parallel_logbook) = run_plain(8);
     assert_eq!(parallel_report, baseline_report, "engine jobs contract");
     assert_eq!(parallel_logbook.to_jsonl(), baseline_trace);
+    let baseline_events = json::parse_lines(&baseline_trace).expect("trace parses");
 
     for jobs in [1, 4, 8] {
         let (report, logbook, sink) = run_with_telemetry(jobs);
@@ -60,6 +62,23 @@ fn telemetry_is_invisible_to_report_and_trace_at_any_jobs() {
             logbook.to_jsonl(),
             baseline_trace,
             "telemetry perturbed the JSONL trace at jobs={jobs}"
+        );
+        // `events.jsonl` is the one exported trial stream: it is the
+        // Logbook trace, line for line, plus observer-only keys.
+        let mut events = json::parse_lines(&sink.events_jsonl()).expect("event stream parses");
+        for event in &mut events {
+            let JsonValue::Object(fields) = event else {
+                panic!("event is not an object: {event:?}");
+            };
+            fields.remove("voltage");
+            if fields.get("event").and_then(JsonValue::as_str) == Some("session_end") {
+                fields.remove("runs");
+                fields.remove("upsets");
+            }
+        }
+        assert!(
+            events == baseline_events,
+            "events.jsonl minus voltage/runs/upsets diverged from the Logbook trace at jobs={jobs}"
         );
         // And the shadow agrees with what it shadowed.
         sink.crosscheck_campaign(&report)

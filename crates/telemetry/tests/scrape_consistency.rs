@@ -14,9 +14,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport};
+use serscale_core::json;
 use serscale_core::trace::{tee, Logbook};
 use serscale_telemetry::serve::http_get;
-use serscale_telemetry::{json, TelemetryOptions, TelemetrySink};
+use serscale_telemetry::{TelemetryOptions, TelemetrySink};
 
 const SCALE: f64 = 0.005;
 const SEED: u64 = 20231028;

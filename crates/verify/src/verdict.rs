@@ -1,12 +1,14 @@
 //! The suite verdict: every oracle's checks, renderable for humans and
 //! serializable to a small, stable JSON document for CI.
 //!
-//! The JSON writer is hand-rolled: the workspace's vendored `serde` is a
-//! no-op marker-trait stand-in (no serializer ships with it), and the
-//! verdict schema is flat enough that string building is the simpler,
-//! dependency-free choice.
+//! The JSON is built by hand with the workspace codec's
+//! [`json::escape`]: the vendored `serde` is a no-op marker-trait
+//! stand-in (no serializer ships with it), and the verdict schema is flat
+//! enough that string building is the simpler, dependency-free choice.
 
 use std::fmt::Write as _;
+
+use serscale_core::json;
 
 use crate::oracle::{OracleFamily, OracleReport};
 
@@ -122,7 +124,7 @@ impl SuiteVerdict {
             out,
             "\"seed\":{},\"budget\":{},\"all_green\":{},\"checks\":{},\"violations\":{},",
             self.seed,
-            json_string(&self.budget),
+            json::escape(&self.budget),
             self.all_green(),
             self.check_count(),
             self.violation_count(),
@@ -135,9 +137,9 @@ impl SuiteVerdict {
             let _ = write!(
                 out,
                 "{{\"name\":{},\"family\":{},\"claim\":{},\"passed\":{},\"checks\":[",
-                json_string(&oracle.name),
-                json_string(&oracle.family.to_string()),
-                json_string(&oracle.claim),
+                json::escape(&oracle.name),
+                json::escape(&oracle.family.to_string()),
+                json::escape(&oracle.claim),
                 oracle.passed(),
             );
             for (j, check) in oracle.checks.iter().enumerate() {
@@ -147,9 +149,9 @@ impl SuiteVerdict {
                 let _ = write!(
                     out,
                     "{{\"name\":{},\"passed\":{},\"detail\":{}}}",
-                    json_string(&check.name),
+                    json::escape(&check.name),
                     check.passed,
-                    json_string(&check.detail),
+                    json::escape(&check.detail),
                 );
             }
             out.push_str("]}");
@@ -157,27 +159,6 @@ impl SuiteVerdict {
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string into a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

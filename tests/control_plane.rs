@@ -23,10 +23,10 @@ use std::time::{Duration, Instant};
 
 use serscale_bench::campaign_config;
 use serscale_core::campaign::Campaign;
+use serscale_core::json::{self, JsonValue};
 use serscale_core::report::golden_summary;
 use serscale_core::spec::{CampaignSpec, RawCampaignSpec, RawSessionSpec};
 use serscale_soc::PlatformSpec;
-use serscale_telemetry::json::{self, JsonValue};
 use serscale_telemetry::serve::{http_get, http_request, MonitorServer};
 use serscale_telemetry::{ControlPlane, ControlPlaneOptions, TelemetryOptions, TelemetrySink};
 

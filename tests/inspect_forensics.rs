@@ -31,10 +31,10 @@ use proptest::prelude::*;
 use serscale_bench::campaign_config;
 use serscale_core::campaign::{Campaign, CampaignReport, CampaignRunOptions};
 use serscale_core::journal::start_or_resume;
+use serscale_core::json::{self, JsonValue};
 use serscale_core::trace::{NoopObserver, SessionObserver};
 use serscale_soc::PlatformSpec;
 use serscale_telemetry::inspect::{exact_quantile, inspect_dir};
-use serscale_telemetry::json::{self, JsonValue};
 use serscale_telemetry::metrics::SeriesKey;
 use serscale_telemetry::serve::{http_get, http_request};
 use serscale_telemetry::{ControlPlane, ControlPlaneOptions, TelemetryOptions, TelemetrySink};

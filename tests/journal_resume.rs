@@ -6,6 +6,10 @@
 //! The golden run, its trace and its complete journal are computed once
 //! and shared across cases; each case then truncates a private copy of the
 //! journal and resumes from it.
+//!
+//! The journal's wire format is pinned separately: the `repro --golden`
+//! campaign must write `tests/golden/journal_smoke.jsonl` byte for byte,
+//! and that committed journal must still resume to the golden report.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,9 +17,12 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use serscale_bench::{campaign_config, GOLDEN_SCALE, REPRO_SEED};
 use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
 use serscale_core::journal::{journal_path, start_or_resume};
-use serscale_core::trace::Logbook;
+use serscale_core::report::golden_summary;
+use serscale_core::trace::{Logbook, NoopObserver};
+use serscale_soc::PlatformSpec;
 
 const SEED: u64 = 0x0010_57ED;
 const SCALE: f64 = 0.005;
@@ -141,5 +148,59 @@ fn resume_of_a_complete_journal_is_a_pure_replay() {
     let (_, _, text) = golden();
     for jobs in [1, 8] {
         resume_and_check("complete", text, jobs);
+    }
+}
+
+const GOLDEN_JOURNAL: &str = include_str!("golden/journal_smoke.jsonl");
+const GOLDEN_SUMMARY: &str = include_str!("golden/campaign_smoke.txt");
+
+/// Runs the `repro --golden` campaign journaled into `dir` (resuming
+/// whatever journal is already there) and returns its golden summary.
+fn golden_journaled(dir: &std::path::Path, jobs: usize) -> String {
+    let campaign = Campaign::new(campaign_config(
+        &PlatformSpec::xgene2(),
+        GOLDEN_SCALE,
+        REPRO_SEED,
+    ));
+    let (mut writer, recovered) = start_or_resume(dir, campaign.config()).expect("journal opens");
+    let report = campaign.run_recoverable(
+        CampaignRunOptions {
+            journal: Some(&mut writer),
+            recovered: recovered.as_ref(),
+            ..CampaignRunOptions::with_jobs(jobs)
+        },
+        &mut NoopObserver,
+    );
+    drop(writer);
+    golden_summary(&report)
+}
+
+#[test]
+fn golden_journal_bytes_are_pinned_and_resumable() {
+    // A fresh journaled golden campaign writes exactly the committed bytes.
+    let dir = case_dir("pinned-fresh");
+    assert_eq!(golden_journaled(&dir, 2), GOLDEN_SUMMARY);
+    let written = std::fs::read_to_string(journal_path(&dir)).expect("journal readable");
+    assert!(
+        written == GOLDEN_JOURNAL,
+        "journal wire format drifted from tests/golden/journal_smoke.jsonl"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The committed journal, complete or cut at a record boundary,
+    // resumes to the golden report and back to the same bytes.
+    let lines: Vec<&str> = GOLDEN_JOURNAL.lines().collect();
+    let half = format!("{}\n", lines[..lines.len() / 2].join("\n"));
+    for (tag, text) in [("pinned-complete", GOLDEN_JOURNAL), ("pinned-half", &half)] {
+        let dir = case_dir(tag);
+        std::fs::create_dir_all(&dir).expect("dir creatable");
+        std::fs::write(journal_path(&dir), text).expect("journal writable");
+        assert_eq!(golden_journaled(&dir, 2), GOLDEN_SUMMARY, "{tag}");
+        let resumed = std::fs::read_to_string(journal_path(&dir)).expect("journal readable");
+        assert!(
+            resumed == GOLDEN_JOURNAL,
+            "{tag}: resumed journal bytes drifted"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

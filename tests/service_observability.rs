@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serscale_telemetry::json::{self, JsonValue};
+use serscale_core::json::{self, JsonValue};
 use serscale_telemetry::metrics::MetricsSnapshot;
 use serscale_telemetry::serve::{http_get, http_request, MonitorServer};
 use serscale_telemetry::{ControlPlane, ControlPlaneOptions, TelemetryOptions, TelemetrySink};
@@ -155,6 +155,13 @@ fn access_log_counters_and_scheduler_series_reconcile() {
     );
     assert!(doc.get("running").is_some(), "{healthz}");
     assert!(doc.get("last_accept_unix_s").is_some(), "{healthz}");
+
+    // A body nested far past the parser's depth limit (but inside the
+    // body-size cap) is a 400 on `body`, and the service keeps serving.
+    let (status, body) = ledger.post("/campaigns", "/campaigns", &"[".repeat(60_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"field\":\"body\""), "{body}");
+    assert_eq!(ledger.get("/healthz", "/healthz").0, 200);
 
     // Two tenants, two campaigns, one runner: alpha's second… no — one
     // each, so completed-share splits evenly and nothing stays queued.
