@@ -7,6 +7,9 @@
 //! program state — an *actual corrupted execution* of the benchmark kernel
 //! whose output is compared bit-exactly against the golden reference,
 //! which is precisely the SDC detector of the paper's test flow (§3.6).
+//! The fault-free prefix of that execution is the clean run bit for bit,
+//! so the shared kernel resumes it from the clean state it recorded at or
+//! before the injection iteration (see `serscale_workload`'s crate docs).
 //!
 //! ## The batched hot path
 //!

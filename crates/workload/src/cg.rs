@@ -5,7 +5,10 @@
 //! final residual norm and solution statistics. Mirrors NPB CG's role of
 //! stressing irregular memory access and inner products.
 
+use std::ops::Range;
+
 use crate::kernel::{Corruption, Kernel, KernelOutput};
+use crate::resume::{self, MainLoop, Snapshots};
 
 /// The CG kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,8 +19,21 @@ pub struct Cg {
     iterations: usize,
 }
 
+/// The live state of the CG loop at the start of an iteration.
+#[derive(Debug, Clone)]
+pub(crate) struct CgState {
+    /// The solution estimate.
+    x: Vec<f64>,
+    /// The residual `b − A·x`.
+    r: Vec<f64>,
+    /// The search direction.
+    p: Vec<f64>,
+    /// `r·r`.
+    rr: f64,
+}
+
 impl Cg {
-    /// A miniature class-A-shaped instance (1024 unknowns, 25 iterations).
+    /// A miniature class-A-shaped instance (1024 unknowns, 60 iterations).
     pub fn class_a() -> Self {
         Cg {
             side: 32,
@@ -68,28 +84,45 @@ impl Cg {
         }
     }
 
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
+    /// The deterministic right-hand side `b`.
+    fn rhs(&self) -> Vec<f64> {
+        (0..self.side * self.side)
+            .map(|i| 1.0 + (i % 7) as f64 * 0.125)
+            .collect()
+    }
+}
+
+impl MainLoop for Cg {
+    type State = CgState;
+    type Table = Snapshots<CgState>;
+
+    fn iterations(&self) -> usize {
+        self.iterations
+    }
+
+    fn start(&self) -> CgState {
+        let b = self.rhs();
+        let rr = b.iter().map(|v| v * v).sum();
+        CgState {
+            x: vec![0.0; b.len()],
+            r: b.clone(),
+            p: b,
+            rr,
+        }
+    }
+
+    fn steps(&self, state: &mut CgState, iterations: Range<usize>) -> bool {
         let n = self.side * self.side;
-        // Deterministic right-hand side.
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.125).collect();
-
-        let mut x = vec![0.0f64; n];
-        let mut r = b.clone();
-        let mut p = r.clone();
         let mut ap = vec![0.0f64; n];
-        let mut rr: f64 = r.iter().map(|v| v * v).sum();
-        let inject_at = corruption.map(|c| c.iteration(self.iterations));
-
-        for it in 0..self.iterations {
-            if inject_at == Some(it) {
-                if let Some(c) = corruption {
-                    // The solution vector is the kernel's long-lived state.
-                    c.apply(&mut x);
-                }
-            }
-            self.apply_laplacian(&p, &mut ap);
+        // Slices, not the state's `Vec`s, so the loop sees fixed lengths.
+        let (x, r, p) = (&mut state.x[..], &mut state.r[..], &mut state.p[..]);
+        let mut rr = state.rr;
+        let mut finished = true;
+        for _ in iterations {
+            self.apply_laplacian(p, &mut ap);
             let pap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
             if pap.abs() < 1e-300 {
+                finished = false;
                 break;
             }
             let alpha = rr / pap;
@@ -104,17 +137,40 @@ impl Cg {
                 p[i] = r[i] + beta * p[i];
             }
         }
+        state.rr = rr;
+        finished
+    }
 
+    fn inject(&self, state: &mut CgState, corruption: Corruption) {
+        // The solution vector is the kernel's long-lived state.
+        corruption.apply(&mut state.x);
+    }
+
+    fn finish(&self, state: CgState) -> KernelOutput {
         // True residual from the (possibly corrupted) solution.
-        self.apply_laplacian(&x, &mut ap);
-        let residual: f64 = b
+        // The loop is over, so the residual's buffer can take A·x.
+        let x = state.x;
+        let mut ax = state.r;
+        self.apply_laplacian(&x, &mut ax);
+        let residual: f64 = self
+            .rhs()
             .iter()
-            .zip(&ap)
+            .zip(&ax)
             .map(|(bi, axi)| (bi - axi) * (bi - axi))
             .sum::<f64>()
             .sqrt();
         let xsum: f64 = x.iter().sum();
         KernelOutput::new(vec![residual, xsum], x)
+    }
+
+    /// Snapshots at four evenly spaced iterations.
+    fn record(&self) -> Snapshots<CgState> {
+        let stride = (self.iterations / 5).max(1);
+        Snapshots::record(self, stride, stride)
+    }
+
+    fn resume(&self, table: &Snapshots<CgState>, at: usize) -> (usize, CgState) {
+        table.resume(self, at)
     }
 }
 
@@ -124,17 +180,24 @@ impl Kernel for Cg {
     }
 
     fn run(&self) -> KernelOutput {
-        self.run_impl(None)
+        resume::run_clean(self)
     }
 
     fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
+        resume::run_corrupted(self, corruption)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resume::tests::{assert_resume_exact, Footprint};
+
+    impl Footprint for CgState {
+        fn bytes(&self) -> usize {
+            self.x.bytes() + self.r.bytes() + self.p.bytes() + std::mem::size_of::<f64>()
+        }
+    }
 
     #[test]
     fn deterministic() {
@@ -186,6 +249,14 @@ mod tests {
         assert_eq!(y[3 * 8 + 3], 0.0);
         // Corner (0,0): 4 - 2 neighbours = 2.
         assert_eq!(y[0], 2.0);
+    }
+
+    #[test]
+    fn resume_matches_a_run_from_the_start() {
+        let tiny = Cg::tiny();
+        assert_resume_exact(tiny, &tiny.record().iterations(), 200);
+        let cg = Cg::class_a();
+        assert_resume_exact(cg, &cg.record().iterations(), 4);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! Output: the two sums plus the ten annulus counts — exactly what real EP
 //! verifies against reference values.
 
+use std::ops::Range;
+
 use crate::kernel::{Corruption, Kernel, KernelOutput, NpbRandom};
+use crate::resume::{self, MainLoop, Snapshots};
 
 /// The EP kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,6 +18,15 @@ pub struct Ep {
     pairs: u32,
     /// Input-stream seed (fixed per "class").
     seed: u64,
+}
+
+/// The live state of the EP loop before a pair is drawn.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EpState {
+    /// `[sx, sy, q0..q9]` — the accumulators a strike can corrupt.
+    sums: [f64; 12],
+    /// The input stream.
+    rng: NpbRandom,
 }
 
 impl Ep {
@@ -44,20 +56,27 @@ impl Ep {
         assert!(pairs > 0, "EP needs at least one pair");
         Ep { pairs, seed }
     }
+}
 
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
-        // Working state: [sx, sy, q0..q9] — the accumulators a strike can
-        // corrupt.
-        let mut state = [0.0f64; 12];
-        let mut rng = NpbRandom::new(self.seed);
-        let inject_at = corruption.map(|c| c.iteration(self.pairs as usize));
+impl MainLoop for Ep {
+    type State = EpState;
+    type Table = Snapshots<EpState>;
 
-        for i in 0..self.pairs as usize {
-            if inject_at == Some(i) {
-                if let Some(c) = corruption {
-                    c.apply(&mut state);
-                }
-            }
+    fn iterations(&self) -> usize {
+        self.pairs as usize
+    }
+
+    fn start(&self) -> EpState {
+        EpState {
+            sums: [0.0; 12],
+            rng: NpbRandom::new(self.seed),
+        }
+    }
+
+    fn steps(&self, state: &mut EpState, iterations: Range<usize>) -> bool {
+        // Locals, so the accumulators and the stream stay in registers.
+        let EpState { mut sums, mut rng } = *state;
+        for _ in iterations {
             let x = 2.0 * rng.next_f64() - 1.0;
             let y = 2.0 * rng.next_f64() - 1.0;
             let t = x * x + y * y;
@@ -65,15 +84,34 @@ impl Ep {
                 let factor = ((-2.0 * t.ln()) / t).sqrt();
                 let gx = x * factor;
                 let gy = y * factor;
-                state[0] += gx;
-                state[1] += gy;
+                sums[0] += gx;
+                sums[1] += gy;
                 let l = gx.abs().max(gy.abs()) as usize;
                 if l < 10 {
-                    state[2 + l] += 1.0;
+                    sums[2 + l] += 1.0;
                 }
             }
         }
-        KernelOutput::new(vec![state[0], state[1]], state)
+        *state = EpState { sums, rng };
+        true
+    }
+
+    fn inject(&self, state: &mut EpState, corruption: Corruption) {
+        corruption.apply(&mut state.sums);
+    }
+
+    fn finish(&self, state: EpState) -> KernelOutput {
+        KernelOutput::new(vec![state.sums[0], state.sums[1]], state.sums)
+    }
+
+    /// Snapshots every 1/32 of the pairs.
+    fn record(&self) -> Snapshots<EpState> {
+        let stride = (self.pairs as usize / 32).max(1);
+        Snapshots::record(self, stride, stride)
+    }
+
+    fn resume(&self, table: &Snapshots<EpState>, at: usize) -> (usize, EpState) {
+        table.resume(self, at)
     }
 }
 
@@ -83,17 +121,24 @@ impl Kernel for Ep {
     }
 
     fn run(&self) -> KernelOutput {
-        self.run_impl(None)
+        resume::run_clean(self)
     }
 
     fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
+        resume::run_corrupted(self, corruption)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resume::tests::{assert_resume_exact, Footprint};
+
+    impl Footprint for EpState {
+        fn bytes(&self) -> usize {
+            std::mem::size_of::<EpState>()
+        }
+    }
 
     #[test]
     fn deterministic() {
@@ -139,6 +184,16 @@ mod tests {
         let a = ep.run_corrupted(Corruption::new(0.9, 5, 0));
         let b = ep.run_corrupted(Corruption::new(0.9, 5, 0));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn resume_matches_a_run_from_the_start() {
+        let tiny = Ep::tiny();
+        assert_resume_exact(tiny, &tiny.record().iterations(), 200);
+        // Class A has 31 snapshots; the first and the last stand for all.
+        let ep = Ep::class_a();
+        let points = ep.record().iterations();
+        assert_resume_exact(ep, &[points[0], points[points.len() - 1]], 4);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! accumulate a checksum per step. Exercises strided memory access across
 //! all three dimensions.
 
+use std::ops::Range;
+
 use crate::kernel::{Corruption, Kernel, KernelOutput, NpbRandom};
+use crate::resume::{self, MainLoop, Snapshots};
 
 /// The FT kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,6 +18,17 @@ pub struct Ft {
     side: usize,
     /// Number of evolution steps.
     steps: usize,
+}
+
+/// The live state of the FT loop at the start of a time step.
+#[derive(Debug, Clone)]
+pub(crate) struct FtState {
+    /// Real parts of the spectrum.
+    re: Vec<f64>,
+    /// Imaginary parts of the spectrum.
+    im: Vec<f64>,
+    /// The `(re, im)` checksums of the steps so far.
+    checksums: Vec<f64>,
 }
 
 impl Ft {
@@ -41,8 +55,17 @@ impl Ft {
         assert!(steps > 0, "need at least one step");
         Ft { side, steps }
     }
+}
 
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
+impl MainLoop for Ft {
+    type State = FtState;
+    type Table = Snapshots<FtState>;
+
+    fn iterations(&self) -> usize {
+        self.steps
+    }
+
+    fn start(&self) -> FtState {
         let n = self.side;
         let total = n * n * n;
         // Interleaved re/im working state.
@@ -53,32 +76,48 @@ impl Ft {
             re[i] = rng.next_f64() - 0.5;
             im[i] = rng.next_f64() - 0.5;
         }
-
         forward_3d(&mut re, &mut im, n);
+        FtState {
+            re,
+            im,
+            checksums: Vec::with_capacity(self.steps * 2),
+        }
+    }
 
-        let inject_at = corruption.map(|c| c.iteration(self.steps));
-        let mut checksums = Vec::with_capacity(self.steps * 2);
-        for step in 0..self.steps {
-            if inject_at == Some(step) {
-                if let Some(c) = corruption {
-                    // Hit the spectral working state.
-                    c.apply(&mut re);
-                }
-            }
+    fn steps(&self, state: &mut FtState, iterations: Range<usize>) -> bool {
+        let n = self.side;
+        for step in iterations {
             // Evolve: multiply each mode by exp(-t·k²)-style damping.
-            evolve(&mut re, &mut im, n, (step + 1) as f64 * 1.0e-4);
+            evolve(&mut state.re, &mut state.im, n, (step + 1) as f64 * 1.0e-4);
             // Inverse-transform a copy and fold its checksum, as NPB FT
             // checksums each time step.
-            let mut cre = re.clone();
-            let mut cim = im.clone();
+            let mut cre = state.re.clone();
+            let mut cim = state.im.clone();
             inverse_3d(&mut cre, &mut cim, n);
             let (sre, sim) = checksum(&cre, &cim, n);
-            checksums.push(sre);
-            checksums.push(sim);
+            state.checksums.push(sre);
+            state.checksums.push(sim);
         }
+        true
+    }
 
-        let values = checksums.clone();
-        KernelOutput::new(values, re.into_iter().chain(im))
+    fn inject(&self, state: &mut FtState, corruption: Corruption) {
+        // Hit the spectral working state.
+        corruption.apply(&mut state.re);
+    }
+
+    fn finish(&self, state: FtState) -> KernelOutput {
+        KernelOutput::new(state.checksums, state.re.into_iter().chain(state.im))
+    }
+
+    /// Snapshots at every step, from step 0: the forward FFT before it is
+    /// a step's worth of work.
+    fn record(&self) -> Snapshots<FtState> {
+        Snapshots::record(self, 0, 1)
+    }
+
+    fn resume(&self, table: &Snapshots<FtState>, at: usize) -> (usize, FtState) {
+        table.resume(self, at)
     }
 }
 
@@ -207,17 +246,24 @@ impl Kernel for Ft {
     }
 
     fn run(&self) -> KernelOutput {
-        self.run_impl(None)
+        resume::run_clean(self)
     }
 
     fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
+        resume::run_corrupted(self, corruption)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resume::tests::{assert_resume_exact, Footprint};
+
+    impl Footprint for FtState {
+        fn bytes(&self) -> usize {
+            self.re.bytes() + self.im.bytes() + self.checksums.bytes()
+        }
+    }
 
     #[test]
     fn deterministic() {
@@ -274,6 +320,14 @@ mod tests {
         let golden = ft.golden();
         let corrupted = ft.run_corrupted(Corruption::new(0.0, 10, 60));
         assert!(!corrupted.matches(&golden));
+    }
+
+    #[test]
+    fn resume_matches_a_run_from_the_start() {
+        let tiny = Ft::tiny();
+        assert_resume_exact(tiny, &tiny.record().iterations(), 200);
+        let ft = Ft::class_a();
+        assert_resume_exact(ft, &ft.record().iterations(), 2);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! memoization), and verify that the final ranking is a valid sort. The
 //! output carries the ranking checksum the golden comparison inspects.
 
+use std::ops::Range;
+
 use crate::kernel::{Corruption, Kernel, KernelOutput, NpbRandom};
+use crate::resume::{self, MainLoop};
 
 /// The IS kernel configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,6 +24,15 @@ pub struct Is {
     /// `range`): generated once at construction so repeated runs start
     /// from a memcpy instead of re-deriving a quarter-million uniforms.
     initial_keys: Vec<u64>,
+}
+
+/// The live state of the IS loop at the start of an iteration.
+#[derive(Debug, Clone)]
+pub(crate) struct IsState {
+    /// The key array.
+    keys: Vec<u64>,
+    /// The partial checksums of the iterations so far.
+    partials: Vec<f64>,
 }
 
 impl Is {
@@ -64,39 +76,42 @@ impl Is {
         self.initial_keys.clone()
     }
 
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
-        let mut keys = self.generate_keys();
-        let inject_at = corruption.map(|c| c.iteration(self.iterations));
+    /// NPB IS perturbs two keys each iteration.
+    fn perturb(&self, keys: &mut [u64], it: usize) {
+        let a = it % self.keys;
+        let b = (it * 31 + 7) % self.keys;
+        keys[a] = (keys[a] + it as u64) % self.range;
+        keys[b] = (keys[b] + self.range / 2) % self.range;
+    }
+}
 
+impl MainLoop for Is {
+    type State = IsState;
+    type Table = Vec<f64>;
+
+    fn iterations(&self) -> usize {
+        self.iterations
+    }
+
+    fn start(&self) -> IsState {
+        IsState {
+            keys: self.generate_keys(),
+            partials: Vec::with_capacity(self.iterations),
+        }
+    }
+
+    fn steps(&self, state: &mut IsState, iterations: Range<usize>) -> bool {
         let mut counts = vec![0u64; self.range as usize];
-        let mut partial_checksums = Vec::with_capacity(self.iterations);
-
-        for it in 0..self.iterations {
-            if inject_at == Some(it) {
-                if let Some(c) = corruption {
-                    c.apply_u64(&mut keys);
-                    // Keys must stay in range after a flip — real IS would
-                    // index out of bounds and crash; we clamp and let the
-                    // ranking checksum catch the corruption instead, which
-                    // keeps the SDC (rather than crash) path exercised.
-                    for k in keys.iter_mut() {
-                        if *k >= self.range {
-                            *k %= self.range;
-                        }
-                    }
-                }
-            }
-            // NPB IS perturbs two keys each iteration.
-            let a = it % self.keys;
-            let b = (it * 31 + 7) % self.keys;
-            keys[a] = (keys[a] + it as u64) % self.range;
-            keys[b] = (keys[b] + self.range / 2) % self.range;
+        let IsState { keys, partials } = state;
+        let keys = &mut keys[..];
+        for it in iterations {
+            self.perturb(keys, it);
 
             // Counting sort (ranking).
             for c in counts.iter_mut() {
                 *c = 0;
             }
-            for &k in &keys {
+            for &k in keys.iter() {
                 counts[k as usize] += 1;
             }
             // Prefix sum gives the rank of the first key with each value.
@@ -108,28 +123,63 @@ impl Is {
             }
             // Fold a checksum of a few ranks, like IS's partial verify.
             let probe = keys[(it * 131) % self.keys];
-            partial_checksums.push(counts[probe as usize] as f64);
+            partials.push(counts[probe as usize] as f64);
         }
+        true
+    }
 
-        // Full verification pass: materialize the sorted permutation and
-        // check order. A counting sort over the (bounded) key range yields
-        // the identical ascending sequence a comparison sort would.
-        for c in counts.iter_mut() {
-            *c = 0;
+    fn inject(&self, state: &mut IsState, corruption: Corruption) {
+        corruption.apply_u64(&mut state.keys);
+        // Keys must stay in range after a flip — real IS would index out of
+        // bounds and crash; we clamp and let the ranking checksum catch the
+        // corruption instead, which keeps the SDC (rather than crash) path
+        // exercised.
+        for k in state.keys.iter_mut() {
+            if *k >= self.range {
+                *k %= self.range;
+            }
         }
+    }
+
+    fn finish(&self, state: IsState) -> KernelOutput {
+        let IsState { keys, partials } = state;
+        // Full verification pass: walk the sorted permutation and check its
+        // order. A counting sort over the (bounded) key range yields the
+        // identical ascending sequence a comparison sort would, so the walk
+        // generates it from the counts instead of materializing it.
+        let mut counts = vec![0u64; self.range as usize];
         for &k in &keys {
             counts[k as usize] += 1;
         }
-        let mut sorted = Vec::with_capacity(keys.len());
-        for (value, &count) in counts.iter().enumerate() {
-            sorted.extend(std::iter::repeat_n(value as u64, count as usize));
-        }
-        let is_sorted = sorted.windows(2).all(|w| w[0] <= w[1]);
+        let sorted = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(value, &count)| std::iter::repeat_n(value as u64, count as usize));
+        let is_sorted = sorted.clone().is_sorted();
         let key_sum: u64 = keys.iter().sum();
 
         let mut values = vec![if is_sorted { 1.0 } else { 0.0 }, key_sum as f64];
-        values.extend(&partial_checksums);
-        KernelOutput::new(values, sorted.into_iter().map(|k| k as f64))
+        values.extend(&partials);
+        KernelOutput::new(values, sorted.map(|k| k as f64))
+    }
+
+    /// The partial checksums of a clean run. The clean prefix of a run only
+    /// perturbs two keys per iteration, so these and a replay of the
+    /// perturbations on the initial keys restore any iteration without a
+    /// snapshot.
+    fn record(&self) -> Vec<f64> {
+        let mut state = self.start();
+        self.steps(&mut state, 0..self.iterations);
+        state.partials
+    }
+
+    fn resume(&self, clean: &Vec<f64>, at: usize) -> (usize, IsState) {
+        let mut state = self.start();
+        for it in 0..at {
+            self.perturb(&mut state.keys, it);
+        }
+        state.partials.extend_from_slice(&clean[..at]);
+        (at, state)
     }
 }
 
@@ -139,17 +189,18 @@ impl Kernel for Is {
     }
 
     fn run(&self) -> KernelOutput {
-        self.run_impl(None)
+        resume::run_clean(self)
     }
 
     fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
+        resume::run_corrupted(self, corruption)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resume::tests::assert_resume_exact;
 
     #[test]
     fn deterministic() {
@@ -187,6 +238,16 @@ mod tests {
         let golden = is.golden();
         let corrupted = is.run_corrupted(Corruption::new(0.5, 1234, 9));
         assert!(!corrupted.matches(&golden));
+    }
+
+    #[test]
+    fn resume_matches_a_run_from_the_start() {
+        let tiny = Is::tiny();
+        let points: Vec<usize> = (0..tiny.iterations).collect();
+        assert_resume_exact(tiny, &points, 200);
+        let is = Is::class_a();
+        let points = [1, is.iterations - 1];
+        assert_resume_exact(is, &points, 4);
     }
 
     #[test]

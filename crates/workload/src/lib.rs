@@ -19,6 +19,22 @@
 //! comparison) or doesn't (logical masking — which is why SER studies need
 //! per-workload AVFs at all).
 //!
+//! ## Clean-prefix resume
+//!
+//! Everything a corrupted run computes before the flip is the clean run,
+//! bit for bit. So the shared kernels of [`Benchmark::shared_kernel`]
+//! record, in one clean run on their first `run_corrupted`, the clean
+//! live state at a few main-loop iterations, and every corrupted run
+//! resumes from the last of them at or before its injection iteration,
+//! through the same loop body the clean run uses. The tables (CG every 12
+//! iterations, LU every 10 sweeps, FT after the forward FFT and after each
+//! step, EP every 1,024 pairs; about 420 KiB in all) are built once per
+//! process. IS keeps no snapshot: its clean prefix only perturbs two keys
+//! per iteration, which it replays on its initial keys. MG keeps none
+//! either, since its one 256 KiB state would not fit that budget. `run`
+//! and `golden` record nothing, and the kernels of [`Benchmark::kernel`]
+//! run every corrupted run from iteration 0.
+//!
 //! ## Profiles
 //!
 //! [`profile::WorkloadProfile`] carries the measurable per-benchmark
@@ -51,6 +67,7 @@ pub mod lu;
 pub mod mg;
 pub mod parallel;
 pub mod profile;
+mod resume;
 pub mod virus;
 
 pub use kernel::{Corruption, Kernel, KernelOutput};

@@ -6,15 +6,31 @@
 //! over-relaxation factor) over a 2-D Poisson problem, reporting the
 //! residual norm trajectory like LU's verification stage.
 
+use std::ops::Range;
+
 use crate::kernel::{Corruption, Kernel, KernelOutput};
+use crate::resume::{self, MainLoop, Snapshots};
 
 /// The LU kernel configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lu {
     /// Grid side; the system has `side²` unknowns.
     side: usize,
     /// SSOR sweeps.
     sweeps: usize,
+    /// The forcing term per grid point (a pure function of `side`):
+    /// tabulated once at construction so no sweep pays two
+    /// transcendentals per point.
+    forcing: Vec<f64>,
+}
+
+/// The live state of the SSOR loop at the start of a sweep.
+#[derive(Debug, Clone)]
+pub(crate) struct LuState {
+    /// The solution grid.
+    u: Vec<f64>,
+    /// The residual norm after each sweep so far.
+    residuals: Vec<f64>,
 }
 
 /// The over-relaxation factor (NPB LU uses ω = 1.2).
@@ -23,18 +39,12 @@ const OMEGA: f64 = 1.2;
 impl Lu {
     /// A miniature class-A-shaped instance (64×64 grid, 30 sweeps).
     pub fn class_a() -> Self {
-        Lu {
-            side: 64,
-            sweeps: 30,
-        }
+        Lu::new(64, 30)
     }
 
     /// A tiny instance for tests.
     pub fn tiny() -> Self {
-        Lu {
-            side: 12,
-            sweeps: 8,
-        }
+        Lu::new(12, 8)
     }
 
     /// Creates an instance with explicit size.
@@ -45,19 +55,26 @@ impl Lu {
     pub fn new(side: usize, sweeps: usize) -> Self {
         assert!(side >= 3, "grid side must be at least 3");
         assert!(sweeps > 0, "need at least one sweep");
-        Lu { side, sweeps }
+        Lu {
+            side,
+            sweeps,
+            forcing: (0..side * side)
+                .map(|idx| Lu::rhs(side, idx / side, idx % side))
+                .collect(),
+        }
     }
 
-    fn rhs(&self, i: usize, j: usize) -> f64 {
+    fn rhs(side: usize, i: usize, j: usize) -> f64 {
         // A smooth deterministic forcing term.
-        let n = self.side as f64;
+        let n = side as f64;
         let x = i as f64 / n;
         let y = j as f64 / n;
         (std::f64::consts::PI * x).sin() * (std::f64::consts::PI * y).sin()
     }
 
-    fn residual_norm(&self, u: &[f64], rhs: &[f64]) -> f64 {
+    fn residual_norm(&self, u: &[f64]) -> f64 {
         let n = self.side;
+        let rhs = &self.forcing[..];
         let mut sum = 0.0;
         for i in 1..n - 1 {
             for j in 1..n - 1 {
@@ -69,23 +86,28 @@ impl Lu {
         }
         sum.sqrt()
     }
+}
 
-    fn run_impl(&self, corruption: Option<Corruption>) -> KernelOutput {
+impl MainLoop for Lu {
+    type State = LuState;
+    type Table = Snapshots<LuState>;
+
+    fn iterations(&self) -> usize {
+        self.sweeps
+    }
+
+    fn start(&self) -> LuState {
+        LuState {
+            u: vec![0.0f64; self.side * self.side],
+            residuals: Vec::with_capacity(self.sweeps),
+        }
+    }
+
+    fn steps(&self, state: &mut LuState, iterations: Range<usize>) -> bool {
         let n = self.side;
-        let mut u = vec![0.0f64; n * n];
-        // The forcing term is fixed for the whole solve; tabulating it once
-        // keeps the two transcendentals per point out of every sweep (the
-        // values are the identical `sin·sin` expression either way).
-        let rhs: Vec<f64> = (0..n * n).map(|idx| self.rhs(idx / n, idx % n)).collect();
-        let inject_at = corruption.map(|c| c.iteration(self.sweeps));
-        let mut residuals = Vec::with_capacity(self.sweeps);
-
-        for sweep in 0..self.sweeps {
-            if inject_at == Some(sweep) {
-                if let Some(c) = corruption {
-                    c.apply(&mut u);
-                }
-            }
+        let rhs = &self.forcing[..];
+        let u = &mut state.u[..];
+        for _ in iterations {
             // Forward Gauss–Seidel with over-relaxation.
             for i in 1..n - 1 {
                 for j in 1..n - 1 {
@@ -102,14 +124,32 @@ impl Lu {
                     u[idx] += OMEGA * (gs - u[idx]);
                 }
             }
-            residuals.push(self.residual_norm(&u, &rhs));
+            state.residuals.push(self.residual_norm(u));
         }
+        true
+    }
 
+    fn inject(&self, state: &mut LuState, corruption: Corruption) {
+        corruption.apply(&mut state.u);
+    }
+
+    fn finish(&self, state: LuState) -> KernelOutput {
+        let LuState { u, residuals } = state;
         let final_residual = *residuals.last().expect("at least one sweep");
         let usum: f64 = u.iter().sum();
         let mut values = vec![final_residual, usum];
         values.extend(residuals.iter().copied());
         KernelOutput::new(values, u)
+    }
+
+    /// Snapshots at two evenly spaced sweeps.
+    fn record(&self) -> Snapshots<LuState> {
+        let stride = (self.sweeps / 3).max(1);
+        Snapshots::record(self, stride, stride)
+    }
+
+    fn resume(&self, table: &Snapshots<LuState>, at: usize) -> (usize, LuState) {
+        table.resume(self, at)
     }
 }
 
@@ -119,17 +159,24 @@ impl Kernel for Lu {
     }
 
     fn run(&self) -> KernelOutput {
-        self.run_impl(None)
+        resume::run_clean(self)
     }
 
     fn run_corrupted(&self, corruption: Corruption) -> KernelOutput {
-        self.run_impl(Some(corruption))
+        resume::run_corrupted(self, corruption)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resume::tests::{assert_resume_exact, Footprint};
+
+    impl Footprint for LuState {
+        fn bytes(&self) -> usize {
+            self.u.bytes() + self.residuals.bytes()
+        }
+    }
 
     #[test]
     fn deterministic() {
@@ -177,6 +224,16 @@ mod tests {
             rel < 0.5,
             "early small upset should not derail convergence (rel = {rel})"
         );
+    }
+
+    #[test]
+    fn resume_matches_a_run_from_the_start() {
+        let tiny = Lu::tiny();
+        let points = tiny.record().iterations();
+        assert_resume_exact(tiny, &points, 200);
+        let lu = Lu::class_a();
+        let points = lu.record().iterations();
+        assert_resume_exact(lu, &points, 2);
     }
 
     #[test]

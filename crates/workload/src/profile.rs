@@ -30,6 +30,7 @@ use crate::is::Is;
 use crate::kernel::{Kernel, KernelOutput};
 use crate::lu::Lu;
 use crate::mg::Mg;
+use crate::resume::Resumed;
 
 /// The six NAS Parallel Benchmarks of the campaign (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -71,7 +72,9 @@ impl Benchmark {
         }
     }
 
-    /// Instantiates the class-A-shaped executable kernel.
+    /// Instantiates the class-A-shaped executable kernel. Its corrupted
+    /// runs go through the whole main loop; see
+    /// [`Benchmark::shared_kernel`] for the instance that resumes.
     pub fn kernel(self) -> Box<dyn Kernel> {
         match self {
             Benchmark::Cg => Box::new(Cg::class_a()),
@@ -90,16 +93,22 @@ impl Benchmark {
     /// functions of the fixed class-A configuration), so every runner and
     /// pool worker can share one instance instead of reconstructing input
     /// arrays per worker per wave. Built lazily on first use.
+    ///
+    /// Unlike [`Benchmark::kernel`]'s, the shared kernel's corrupted runs
+    /// resume from the clean prefix: its first corrupted run records the
+    /// clean run's table (see the crate docs), and every later one starts
+    /// at the latest recorded iteration at or before the flip. Outputs are
+    /// bit-identical either way.
     pub fn shared_kernel(self) -> &'static (dyn Kernel + Send + Sync) {
         static KERNELS: [OnceLock<Box<dyn Kernel + Send + Sync>>; 6] =
             [const { OnceLock::new() }; 6];
         KERNELS[self as usize]
             .get_or_init(|| match self {
-                Benchmark::Cg => Box::new(Cg::class_a()),
-                Benchmark::Ep => Box::new(Ep::class_a()),
-                Benchmark::Ft => Box::new(Ft::class_a()),
-                Benchmark::Is => Box::new(Is::class_a()),
-                Benchmark::Lu => Box::new(Lu::class_a()),
+                Benchmark::Cg => Box::new(Resumed::new(Cg::class_a())),
+                Benchmark::Ep => Box::new(Resumed::new(Ep::class_a())),
+                Benchmark::Ft => Box::new(Resumed::new(Ft::class_a())),
+                Benchmark::Is => Box::new(Resumed::new(Is::class_a())),
+                Benchmark::Lu => Box::new(Resumed::new(Lu::class_a())),
                 Benchmark::Mg => Box::new(Mg::class_a()),
             })
             .as_ref()
