@@ -189,8 +189,8 @@ impl Campaign {
     }
 
     /// Runs the whole campaign through the naive reference executor
-    /// ([`TestSession::run_reference`]): no waves, no speculation, no
-    /// worker pool. Exists for differential verification — its report must
+    /// ([`TestSession::run_reference`]): no batches, no out-of-order
+    /// adjudication, no worker pool. Exists for differential verification — its report must
     /// be bit-identical to [`try_run_recoverable`](Self::try_run_recoverable)
     /// at any `jobs`.
     pub fn run_reference(&self) -> CampaignReport {
@@ -251,7 +251,7 @@ impl Campaign {
     /// stay bit-identical to an uninterrupted run at any `jobs`.
     ///
     /// When `options.cancel` fires, execution stops cleanly at the next
-    /// wave boundary (or between sessions). The journal, if any, is left
+    /// batch boundary (or between sessions). The journal, if any, is left
     /// exactly as a crash at a record boundary would leave it: completed
     /// sessions closed by their `SessionEnd` records, the in-flight
     /// session holding every absorbed trial and no end record. Re-opening
@@ -339,7 +339,7 @@ pub struct CampaignRunOptions<'a> {
     pub journal: Option<&'a mut JournalWriter>,
     /// Recovered journal prefix to replay before running live, if any.
     pub recovered: Option<&'a RecoveredCampaign>,
-    /// Cooperative cancellation flag, polled at wave boundaries (see
+    /// Cooperative cancellation flag, polled at batch boundaries (see
     /// [`Campaign::try_run_recoverable`]).
     pub cancel: Option<CancelToken>,
 }
@@ -560,7 +560,7 @@ mod tests {
     }
 
     /// Fires a cloned cancel token on its `fire_at`-th `on_run`, counting
-    /// the runs it sees and the waves that close after the token fired.
+    /// the runs it sees and the batches that close after the token fired.
     struct CancelOnRun {
         token: CancelToken,
         fire_at: u64,
@@ -592,8 +592,8 @@ mod tests {
 
         let dir =
             std::env::temp_dir().join(format!("serscale-campaign-cancel-{}", std::process::id()));
-        // A session longer than the largest wave (4096 trials), so the
-        // firing run lands with waves still to come; a thin beam keeps its
+        // A session longer than the largest batch (4096 trials), so the
+        // firing run lands with batches still to come; a thin beam keeps its
         // trials cheap. A cancelled run never starts the second session.
         let mut config = quick_config(14, 0.01);
         config.position = BeamPosition::halo(BeamPosition::PAPER_HALO_TRANSMISSION * 1e-2);
@@ -631,7 +631,7 @@ mod tests {
                 let journal = read_journal(&journal_path(&dir)).expect("journal readable");
                 assert_eq!(journal, vec![Record::campaign_header(campaign.config())]);
             } else {
-                // The wave holding the firing run closed, and no other did.
+                // The batch holding the firing run closed, and no other did.
                 assert_eq!(canceller.waves_after_fire, 1, "{case}");
             }
 

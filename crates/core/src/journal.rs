@@ -2,9 +2,9 @@
 //!
 //! The paper's 64-hour campaigns survived real system crashes because the
 //! Control-PC could restart the DUT and *continue counting* (§3); this
-//! module gives the simulator the same property. As the wave engine merges
+//! module gives the simulator the same property. As the batch engine merges
 //! outcomes (see [`crate::session`]), every absorbed trial is appended to
-//! a JSONL journal and the file is fsync'd once per wave. After a crash,
+//! a JSONL journal and the file is fsync'd once per batch. After a crash,
 //! [`start_or_resume`] replays the journal into a [`RecoveredCampaign`]
 //! and the engine fast-forwards: replayed trials are folded through the
 //! same accumulator the live path uses (no physics re-run), the RNG
@@ -29,9 +29,9 @@
 //!
 //! ## Fsync policy and torn-tail recovery
 //!
-//! Lines are buffered in memory and flushed + `fsync`'d at wave
+//! Lines are buffered in memory and flushed + `fsync`'d at batch
 //! boundaries (and at session start/end), so the crash-loss granularity
-//! is one wave of trials — they are simply re-executed on resume, landing
+//! is one batch of trials — they are simply re-executed on resume, landing
 //! on the same counter-derived streams. A crash mid-flush leaves a *torn
 //! tail*: an unterminated final fragment, or a final line whose digest
 //! does not verify. Recovery drops the tail and truncates the file back
@@ -393,8 +393,8 @@ fn reason_from_name(name: &str) -> Result<StopReason, String> {
 }
 
 /// The append side of the journal. Records are buffered in memory until
-/// [`sync`](Self::sync) hands them to the OS — the wave engine calls
-/// `sync` at every wave merge, making the wave the crash-loss granularity
+/// [`sync`](Self::sync) hands them to the OS — the batch engine calls
+/// `sync` at every batch merge, making the batch the crash-loss granularity
 /// for a *process* crash (the OS keeps written pages across a SIGKILL).
 /// The costlier fdatasync — surviving a *machine* crash — is throttled to
 /// once per [`FSYNC_INTERVAL`] of host time and forced by
@@ -468,7 +468,7 @@ impl SyncProbe {
     }
 
     /// Host time since the last completed fdatasync, or `None` before the
-    /// first one. Bounded by [`FSYNC_INTERVAL`] plus one wave during a
+    /// first one. Bounded by [`FSYNC_INTERVAL`] plus one batch during a
     /// healthy run — a growing lag means the journal has stalled.
     pub fn lag(&self) -> Option<std::time::Duration> {
         if self.syncs() == 0 {
@@ -483,7 +483,7 @@ impl SyncProbe {
     }
 }
 
-/// Host-time throttle between fdatasyncs on the per-wave sync path.
+/// Host-time throttle between fdatasyncs on the per-batch sync path.
 pub const FSYNC_INTERVAL: std::time::Duration = std::time::Duration::from_millis(50);
 
 impl JournalWriter {

@@ -1,36 +1,34 @@
-//! A deterministic worker pool for embarrassingly parallel shards.
+//! A deterministic worker pool for independent, millisecond-scale tasks.
 //!
-//! The campaign engine splits a session into independent trials and a
-//! voltage sweep into independent grid points; this module provides the
-//! pool that executes such shards across threads while keeping the
-//! *results* exactly what the sequential code would have produced:
+//! The session engine hands it a batch's corrupted-kernel adjudications
+//! and the voltage sweep its grid points; the pool executes them across
+//! threads while keeping the *results* exactly what the sequential code
+//! would have produced:
 //!
-//! * **Order canonicalization** — work is dispatched as contiguous
-//!   *chunks* of input items, each tagged with its queue index, and the
-//!   output vector is reassembled in input order, so callers can reduce
-//!   left-to-right exactly as the sequential loop does. Chunking keeps the
-//!   channel round-trips per item negligible even for microsecond shards.
-//! * **No shared mutable state** — each worker builds its own scratch
-//!   state (e.g. a [`BenchmarkRunner`](crate::runner::BenchmarkRunner)
-//!   with its strike buffers and envelope caches) via a factory closure;
-//!   shards communicate only through bounded channels.
-//! * **Panic isolation** — a panicking shard does not tear down the pool
-//!   mid-flight. The pool stops feeding new work, drains the in-flight
-//!   results, joins every worker, and only then resumes the first panic
+//! * **Order canonicalization** — each worker pulls one item at a time
+//!   off a shared queue, in the caller's order (so a caller that sorts
+//!   its items longest first gets longest-first dispatch), and the output
+//!   vector is reassembled in input order, so callers can reduce
+//!   left-to-right exactly as the sequential loop does.
+//! * **No shared mutable state** — items are self-contained and the work
+//!   closure is `Fn + Sync`; workers share only the queue.
+//! * **Panic isolation** — a panicking item does not tear down the pool
+//!   mid-flight. The pool stops handing out new work, lets the in-flight
+//!   items finish, joins every worker, and only then resumes a panic
 //!   payload on the caller's thread, so the process-visible behavior
-//!   matches the sequential loop panicking at that shard.
+//!   matches the sequential loop panicking at that item.
 //!
-//! Determinism across thread counts is *not* the pool's job alone: shards
+//! Determinism across thread counts is *not* the pool's job alone: items
 //! must not read ambient state that depends on scheduling. The campaign
-//! side guarantees that by deriving each trial's RNG with
-//! [`SimRng::stream`](serscale_stats::SimRng::stream), which is a pure
-//! function of (seed, session, trial).
+//! side guarantees that: an adjudication is a pure function of its
+//! benchmark, corruption and EDAC records, drawn by the trial's own
+//! [`SimRng::stream`](serscale_stats::SimRng::stream).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use crossbeam::thread;
 
 /// What one pool worker did during a [`par_map_with_profile`] call:
@@ -39,9 +37,8 @@ use crossbeam::thread;
 pub struct WorkerReport {
     /// Host nanoseconds this worker spent inside the work closure.
     pub busy_nanos: u64,
-    /// Shards (input items) this worker pulled off the queue, counted
-    /// across every chunk it stole (work stealing makes the split uneven;
-    /// the skew *is* the signal).
+    /// Items this worker pulled off the queue (pulling makes the split
+    /// uneven; the skew *is* the signal).
     pub shards: u64,
 }
 
@@ -185,12 +182,6 @@ pub fn backoff_delay(base: Duration, attempt: u32) -> Duration {
     base.saturating_mul(1u32 << attempt.min(10)).min(CAP)
 }
 
-/// What a worker reports back for one chunk of shards.
-enum ShardOutcome<O> {
-    Done(Vec<O>),
-    Panicked(Box<dyn std::any::Any + Send>),
-}
-
 /// The host's hardware thread count, probed once per process.
 fn host_parallelism() -> usize {
     use std::sync::OnceLock;
@@ -202,10 +193,11 @@ fn host_parallelism() -> usize {
 /// capped at the host's hardware threads.
 ///
 /// The engine's work is CPU-bound, so threads beyond the core count only
-/// add context-switch and channel overhead — and the determinism contract
+/// add context-switch overhead — and the determinism contract
 /// makes `jobs` a pure throughput knob (the report is bit-identical at
 /// any value), so capping the *execution substrate* never changes a
-/// result. Wave planning still uses the requested `jobs`.
+/// result. Nothing else reads `jobs`: a session's batches end where its
+/// stop rules say, whatever the worker count.
 pub fn effective_workers(jobs: usize) -> usize {
     jobs.min(host_parallelism())
 }
@@ -213,234 +205,130 @@ pub fn effective_workers(jobs: usize) -> usize {
 /// Maps `work` over `items` on up to `jobs` worker threads, returning
 /// outputs in input order.
 ///
-/// Each worker calls `make_state()` once and threads the resulting scratch
-/// value through every shard it steals. This is how the session driver
-/// gives each worker its own [`BenchmarkRunner`](crate::runner) — and with
-/// it the runner's per-worker scratch arenas (strike buffers, cached rate
-/// envelopes), which amortize across every trial the worker executes
-/// without any cross-thread sharing.
-///
-/// The thread count actually spawned is [`effective_workers`]`(jobs)`:
-/// oversubscribing a CPU-bound pool past the core count only adds
-/// overhead, and the determinism contract guarantees the outputs don't
-/// depend on the worker count. When that leaves a single worker (or there
-/// are fewer than two items) everything runs inline on the calling
-/// thread — the reference path the determinism tests compare against.
-///
-/// Work is dispatched in contiguous *chunks* of several shards, not one
-/// shard at a time, so per-shard channel traffic amortizes away for the
-/// microsecond-scale trials the campaign engine feeds through here.
-///
 /// # Panics
 ///
-/// Panics if `jobs == 0`, and re-raises the first shard panic after the
-/// pool has drained (see module docs).
-pub fn par_map_with<S, I, O, M, F>(jobs: usize, items: Vec<I>, make_state: M, work: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(&mut S, I) -> O + Sync,
-{
-    par_map_with_profile(jobs, items, make_state, work).0
-}
-
-/// [`par_map_with`] that also reports per-worker utilization: the outputs
-/// (identical, bit for bit, to the unprofiled call) plus a
-/// [`PoolProfile`] of busy/steal accounting per worker. Profiling is
-/// observe-only — timestamps are taken around the work closure and never
-/// influence scheduling, ordering or the outputs.
-///
-/// # Panics
-///
-/// Panics if `jobs == 0`, and re-raises shard panics like
-/// [`par_map_with`].
-pub fn par_map_with_profile<S, I, O, M, F>(
-    jobs: usize,
-    items: Vec<I>,
-    make_state: M,
-    work: F,
-) -> (Vec<O>, PoolProfile)
-where
-    I: Send,
-    O: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(&mut S, I) -> O + Sync,
-{
-    assert!(jobs > 0, "a pool needs at least one worker");
-    let workers = effective_workers(jobs).min(items.len());
-    if workers <= 1 || items.len() < 2 {
-        let clock = Instant::now();
-        let mut state = make_state();
-        let shards = items.len() as u64;
-        let outputs: Vec<O> = items
-            .into_iter()
-            .map(|item| work(&mut state, item))
-            .collect();
-        let wall = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        return (outputs, PoolProfile::inline(wall, shards));
-    }
-    pooled_map(workers, items, make_state, work)
-}
-
-/// The threaded pool behind [`par_map_with_profile`], with an exact
-/// worker count (no host-parallelism clamp — tests use this to exercise
-/// the threaded path regardless of the machine they run on).
-fn pooled_map<S, I, O, M, F>(
-    workers: usize,
-    items: Vec<I>,
-    make_state: M,
-    work: F,
-) -> (Vec<O>, PoolProfile)
-where
-    I: Send,
-    O: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(&mut S, I) -> O + Sync,
-{
-    let clock = Instant::now();
-    let total = items.len();
-    let workers = workers.min(total).max(1);
-    // Contiguous chunks, roughly four per worker: large enough that the
-    // per-chunk channel round-trip amortizes across many shards, small
-    // enough that the end-of-queue imbalance stays a fraction of one
-    // worker's share.
-    let chunk_size = total.div_ceil(workers * 4).max(1);
-    let chunks: Vec<(usize, Vec<I>)> = {
-        let mut iter = items.into_iter();
-        let mut chunks = Vec::with_capacity(total.div_ceil(chunk_size));
-        loop {
-            let chunk: Vec<I> = iter.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push((chunks.len(), chunk));
-        }
-        chunks
-    };
-    let slot_count = chunks.len();
-    // Small bounded buffers: enough to keep workers from starving between
-    // collector wakeups, small enough that a stop-rule overshoot or a
-    // panic leaves little queued work behind.
-    let (work_tx, work_rx) = channel::bounded::<(usize, Vec<I>)>(2 * workers);
-    let (out_tx, out_rx) = channel::bounded::<(usize, ShardOutcome<O>)>(2 * workers);
-    let abort = AtomicBool::new(false);
-
-    let scope_result = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let chunk_rx = work_rx.clone();
-                let result_tx = out_tx.clone();
-                let make_state = &make_state;
-                let work = &work;
-                let abort = &abort;
-                scope.spawn(move |_| {
-                    let mut state = make_state();
-                    let mut report = WorkerReport::default();
-                    for (index, chunk) in chunk_rx.iter() {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let shards = chunk.len() as u64;
-                        let chunk_clock = Instant::now();
-                        let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                            chunk
-                                .into_iter()
-                                .map(|item| work(&mut state, item))
-                                .collect::<Vec<O>>()
-                        })) {
-                            Ok(outputs) => ShardOutcome::Done(outputs),
-                            Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
-                                ShardOutcome::Panicked(payload)
-                            }
-                        };
-                        report.busy_nanos = report.busy_nanos.saturating_add(
-                            u64::try_from(chunk_clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                        report.shards += shards;
-                        if result_tx.send((index, outcome)).is_err() {
-                            break;
-                        }
-                    }
-                    report
-                })
-            })
-            .collect();
-        // The scope-local handles must go: workers hold the only remaining
-        // clones, so the collector's iterator can observe the disconnect.
-        drop(work_rx);
-        drop(out_tx);
-
-        // Feed from a dedicated thread so a full work queue can never
-        // deadlock against a full result queue.
-        let abort_ref = &abort;
-        scope.spawn(move |_| {
-            for pair in chunks {
-                if abort_ref.load(Ordering::Relaxed) || work_tx.send(pair).is_err() {
-                    break;
-                }
-            }
-        });
-
-        let mut slots: Vec<Option<Vec<O>>> = (0..slot_count).map(|_| None).collect();
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for (index, outcome) in out_rx.iter() {
-            match outcome {
-                ShardOutcome::Done(outputs) => slots[index] = Some(outputs),
-                ShardOutcome::Panicked(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        // The result channel disconnected, so every worker has exited its
-        // loop; joining here only collects their utilization reports.
-        let workers: Vec<WorkerReport> = handles
-            .into_iter()
-            .map(|handle| handle.join().unwrap_or_default())
-            .collect();
-        (slots, first_panic, workers)
-    });
-
-    let (slots, first_panic, workers) = match scope_result {
-        Ok(collected) => collected,
-        Err(payload) => resume_unwind(payload),
-    };
-    if let Some(payload) = first_panic {
-        resume_unwind(payload);
-    }
-    let outputs = slots
-        .into_iter()
-        .flat_map(|slot| slot.expect("pool drained without a panic, so every chunk reported"))
-        .collect();
-    let profile = PoolProfile {
-        workers,
-        wall_nanos: u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    };
-    (outputs, profile)
-}
-
-/// [`par_map_with`] for stateless shards.
-///
-/// # Panics
-///
-/// Panics if `jobs == 0`, and re-raises shard panics like
-/// [`par_map_with`].
+/// Panics if `jobs == 0`, and re-raises an item's panic after the pool
+/// has drained (see module docs).
 pub fn par_map<I, O, F>(jobs: usize, items: Vec<I>, work: F) -> Vec<O>
 where
     I: Send,
     O: Send,
     F: Fn(I) -> O + Sync,
 {
-    par_map_with(jobs, items, || (), |(), item| work(item))
+    par_map_with_profile(jobs, items, work).0
+}
+
+/// [`par_map`] that also reports per-worker utilization: the outputs
+/// (identical, bit for bit, to the unprofiled call) plus a
+/// [`PoolProfile`] of busy/pull accounting per worker. Profiling is
+/// observe-only — timestamps are taken around the work closure and never
+/// influence scheduling, ordering or the outputs.
+///
+/// The thread count actually spawned is [`effective_workers`]`(jobs)`,
+/// at most one per item. When that leaves a single worker everything
+/// runs inline on the calling thread, in input order — the reference
+/// path the determinism tests compare against.
+///
+/// # Panics
+///
+/// Panics if `jobs == 0`, and re-raises item panics like [`par_map`].
+pub fn par_map_with_profile<I, O, F>(jobs: usize, items: Vec<I>, work: F) -> (Vec<O>, PoolProfile)
+where
+    I: Send,
+    O: Send,
+    F: Fn(I) -> O + Sync,
+{
+    assert!(jobs > 0, "a pool needs at least one worker");
+    let workers = effective_workers(jobs).min(items.len());
+    if workers <= 1 {
+        let clock = Instant::now();
+        let shards = items.len() as u64;
+        let outputs: Vec<O> = items.into_iter().map(work).collect();
+        return (outputs, PoolProfile::inline(elapsed_nanos(clock), shards));
+    }
+    pooled_map(workers, items, work)
+}
+
+fn elapsed_nanos(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The threaded pool behind [`par_map_with_profile`], with an exact
+/// worker count (no host-parallelism clamp — tests use this to exercise
+/// the threaded path regardless of the machine they run on).
+fn pooled_map<I, O, F>(workers: usize, items: Vec<I>, work: F) -> (Vec<O>, PoolProfile)
+where
+    I: Send,
+    O: Send,
+    F: Fn(I) -> O + Sync,
+{
+    let clock = Instant::now();
+    let total = items.len();
+    // One item per pull, in input order. The lock is held only to take
+    // the next item, never while working, so an item's panic cannot
+    // poison it.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let abort = AtomicBool::new(false);
+    let joined = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(total))
+            .map(|_| {
+                scope.spawn(|_| {
+                    let mut outputs = Vec::new();
+                    let mut report = WorkerReport::default();
+                    while !abort.load(Ordering::Relaxed) {
+                        let next = queue
+                            .lock()
+                            .expect("queue lock never held across work")
+                            .next();
+                        let Some((index, item)) = next else { break };
+                        let item_clock = Instant::now();
+                        let output = catch_unwind(AssertUnwindSafe(|| work(item)));
+                        report.busy_nanos =
+                            report.busy_nanos.saturating_add(elapsed_nanos(item_clock));
+                        report.shards += 1;
+                        match output {
+                            Ok(output) => outputs.push((index, output)),
+                            Err(payload) => {
+                                abort.store(true, Ordering::Relaxed);
+                                return Err(payload);
+                            }
+                        }
+                    }
+                    Ok((outputs, report))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+    })
+    .unwrap_or_else(|payload| resume_unwind(payload));
+
+    // Every worker has been joined, so the pool has drained: re-raise the
+    // first worker's panic, if any.
+    let mut slots: Vec<Option<O>> = (0..total).map(|_| None).collect();
+    let mut reports = Vec::new();
+    for worker in joined {
+        let (outputs, report) = worker
+            .and_then(|caught| caught)
+            .unwrap_or_else(|payload| resume_unwind(payload));
+        for (index, output) in outputs {
+            slots[index] = Some(output);
+        }
+        reports.push(report);
+    }
+    let outputs = slots
+        .into_iter()
+        .map(|slot| slot.expect("pool drained without a panic, so every item reported"))
+        .collect();
+    let profile = PoolProfile {
+        workers: reports,
+        wall_nanos: elapsed_nanos(clock),
+    };
+    (outputs, profile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn outputs_come_back_in_input_order() {
@@ -452,16 +340,31 @@ mod tests {
     }
 
     #[test]
-    fn threaded_pool_preserves_order_for_awkward_chunk_splits() {
+    fn threaded_pool_preserves_order_for_any_item_count() {
         // Force the threaded path (the public API may inline on small
-        // hosts) with totals that don't divide evenly into chunks.
+        // hosts), including more workers than items.
         for workers in [2usize, 3, 8] {
             for total in [2u64, 7, 257, 1000] {
-                let (got, _) = pooled_map(workers, (0..total).collect(), || (), |(), x| x * x);
+                let (got, _) = pooled_map(workers, (0..total).collect(), |x| x * x);
                 let want: Vec<u64> = (0..total).map(|x| x * x).collect();
                 assert_eq!(got, want, "workers = {workers}, total = {total}");
             }
         }
+    }
+
+    #[test]
+    fn items_are_pulled_one_at_a_time_in_input_order() {
+        // With one worker the pull order is the whole dispatch order: a
+        // caller that sorts longest first must see exactly that order.
+        let pulled = Mutex::new(Vec::new());
+        let (_, profile) = pooled_map(1, (0..50u32).rev().collect(), |x| {
+            pulled.lock().unwrap().push(x);
+        });
+        assert_eq!(
+            pulled.into_inner().unwrap(),
+            (0..50).rev().collect::<Vec<_>>()
+        );
+        assert_eq!(profile.workers[0].shards, 50);
     }
 
     #[test]
@@ -479,43 +382,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_state_is_built_per_worker_and_reused() {
-        let factories = AtomicUsize::new(0);
-        let workers = 3;
-        let (out, _) = pooled_map(
-            workers,
-            (0..100u64).collect(),
-            || {
-                factories.fetch_add(1, Ordering::Relaxed);
-                0u64
-            },
-            |calls, item| {
-                *calls += 1;
-                item
-            },
-        );
-        assert_eq!(out.len(), 100);
-        let built = factories.load(Ordering::Relaxed);
-        assert!(
-            built <= workers,
-            "at most one state per worker, got {built}"
-        );
-    }
-
-    #[test]
     fn shard_panic_propagates_after_drain() {
         let caught = catch_unwind(|| {
-            pooled_map(
-                4,
-                (0..64u32).collect(),
-                || (),
-                |(), x| {
-                    if x == 13 {
-                        panic!("shard 13 exploded");
-                    }
-                    x
-                },
-            )
+            pooled_map(4, (0..64u32).collect(), |x| {
+                if x == 13 {
+                    panic!("shard 13 exploded");
+                }
+                x
+            })
         });
         let payload = caught.expect_err("panic must propagate");
         let message = payload
@@ -580,12 +454,12 @@ mod tests {
 
     #[test]
     fn profile_accounts_for_every_shard() {
-        let work = |(): &mut (), x: u64| {
+        let work = |x: u64| {
             // A little real work so busy time is nonzero.
             (0..50u64).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
         };
         for jobs in [1usize, 3, 8] {
-            let (out, profile) = par_map_with_profile(jobs, (0..200u64).collect(), || (), work);
+            let (out, profile) = par_map_with_profile(jobs, (0..200u64).collect(), work);
             assert_eq!(out.len(), 200);
             let shards: u64 = profile.workers.iter().map(|w| w.shards).sum();
             assert_eq!(shards, 200, "jobs = {jobs}");
@@ -594,7 +468,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&profile.utilization()));
         }
         for workers in [3usize, 8] {
-            let (out, profile) = pooled_map(workers, (0..200u64).collect(), || (), work);
+            let (out, profile) = pooled_map(workers, (0..200u64).collect(), work);
             assert_eq!(out.len(), 200);
             let shards: u64 = profile.workers.iter().map(|w| w.shards).sum();
             assert_eq!(shards, 200, "workers = {workers}");
@@ -605,7 +479,7 @@ mod tests {
 
     #[test]
     fn inline_profile_is_one_fully_busy_worker() {
-        let (_, profile) = par_map_with_profile(1, vec![1u8, 2, 3], || (), |(), x| x);
+        let (_, profile) = par_map_with_profile(1, vec![1u8, 2, 3], |x| x);
         assert_eq!(profile.workers.len(), 1);
         assert_eq!(profile.workers[0].shards, 3);
         assert_eq!(profile.workers[0].busy_nanos, profile.wall_nanos);
@@ -615,8 +489,7 @@ mod tests {
     #[test]
     fn profiled_outputs_match_unprofiled() {
         let plain = par_map(4, (0..300u32).collect(), |x| x ^ 0x5a5a);
-        let (profiled, _) =
-            par_map_with_profile(4, (0..300u32).collect(), || (), |(), x| x ^ 0x5a5a);
+        let (profiled, _) = par_map_with_profile(4, (0..300u32).collect(), |x| x ^ 0x5a5a);
         assert_eq!(plain, profiled);
     }
 
@@ -624,12 +497,7 @@ mod tests {
     fn results_identical_across_thread_counts() {
         let reference = par_map(1, (0..500u64).collect(), |x| x.wrapping_mul(0x9e37));
         for workers in [2, 5, 16] {
-            let (got, _) = pooled_map(
-                workers,
-                (0..500u64).collect(),
-                || (),
-                |(), x| x.wrapping_mul(0x9e37),
-            );
+            let (got, _) = pooled_map(workers, (0..500u64).collect(), |x| x.wrapping_mul(0x9e37));
             assert_eq!(got, reference, "workers = {workers}");
         }
     }

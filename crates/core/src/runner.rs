@@ -11,6 +11,19 @@
 //! so the shared kernel resumes it from the clean state it recorded at or
 //! before the injection iteration (see `serscale_workload`'s crate docs).
 //!
+//! ## Two phases
+//!
+//! A trial splits where the fault stops being physics and becomes
+//! software. *Phase 1* draws the arrivals, strikes, ECC outcomes, the
+//! crash decision and — when corruption reached live program state — the
+//! `Corruption` to inject; it consumes the trial's whole RNG stream and
+//! costs well under a microsecond. *Phase 2*, the adjudication, runs the
+//! corrupted kernel and compares it with the golden output: milliseconds,
+//! but a pure function of the benchmark, the corruption and the trial's
+//! EDAC records, so the session engine runs it on any thread, in any
+//! order. The verdict never moves the clock: `Correct` and `Sdc` add no
+//! recovery time.
+//!
 //! ## The batched hot path
 //!
 //! Event arrivals across all sources of one trial form a single Poisson
@@ -21,7 +34,7 @@
 //! pre-summed in canonical order — and short-circuits the ≈95 % of
 //! trials whose count is zero before touching any array state. Strikes
 //! that do land go through the word-batched mask classifiers
-//! (`serscale-ecc`) via a reusable per-worker [`StrikeScratch`] arena.
+//! (`serscale-ecc`) via a reusable [`StrikeScratch`] arena.
 //!
 //! [`BenchmarkRunner::run_once_reference`] is the deliberately naive
 //! twin: it rebuilds the envelope from the physics every trial and
@@ -160,7 +173,7 @@ impl RateEnvelope {
     }
 }
 
-/// How a trial's strikes are classified: through the per-worker scratch
+/// How a trial's strikes are classified: through the runner's scratch
 /// arena and the mask-batched classifiers (the hot path), or through the
 /// allocating per-event codecs (the reference path the oracles diff
 /// against). Both consume the RNG identically.
@@ -305,9 +318,9 @@ pub struct BenchmarkRunner {
     escalation: EscalationModel,
     control_pc: ControlPc,
     /// Per-benchmark arrival-rate envelopes, rebuilt when the operating
-    /// point moves. Worker-local, like everything else in the runner.
+    /// point moves.
     envelopes: BTreeMap<Benchmark, RateEnvelope>,
-    /// The per-worker strike arena the batched path classifies into.
+    /// The strike arena the batched path classifies into.
     scratch: StrikeScratch,
 }
 
@@ -373,25 +386,14 @@ impl BenchmarkRunner {
 
     /// Runs one benchmark execution starting at `start` simulated time —
     /// the batched hot path (cached envelope, scratch-arena strikes,
-    /// mask-based classification).
+    /// mask-based classification): phase 1, then its adjudication inline.
     pub fn run_once(
         &mut self,
         rng: &mut SimRng,
         benchmark: Benchmark,
         start: SimInstant,
     ) -> RunOutcome {
-        self.ensure_envelope(benchmark);
-        let env = self.envelopes.get(&benchmark).expect("envelope just built");
-        let duration = env.duration;
-        let tally = execute_trial(
-            env,
-            &self.escalation,
-            StrikeMode::Batched(&mut self.scratch),
-            rng,
-            benchmark,
-            start,
-        );
-        self.finish_trial(rng, benchmark, duration, tally)
+        self.simulate(rng, benchmark, start).adjudicate()
     }
 
     /// [`Self::run_once`] through the naive per-event path: the envelope
@@ -405,6 +407,38 @@ impl BenchmarkRunner {
         benchmark: Benchmark,
         start: SimInstant,
     ) -> RunOutcome {
+        self.simulate_reference(rng, benchmark, start).adjudicate()
+    }
+
+    /// Phase 1 of [`Self::run_once`]: everything but the adjudication.
+    /// Consumes the trial's whole RNG stream.
+    pub(crate) fn simulate(
+        &mut self,
+        rng: &mut SimRng,
+        benchmark: Benchmark,
+        start: SimInstant,
+    ) -> TrialPhysics {
+        self.ensure_envelope(benchmark);
+        let env = self.envelopes.get(&benchmark).expect("envelope just built");
+        let duration = env.duration;
+        let tally = execute_trial(
+            env,
+            &self.escalation,
+            StrikeMode::Batched(&mut self.scratch),
+            rng,
+            benchmark,
+            start,
+        );
+        self.conclude(rng, benchmark, duration, tally)
+    }
+
+    /// Phase 1 of [`Self::run_once_reference`].
+    fn simulate_reference(
+        &mut self,
+        rng: &mut SimRng,
+        benchmark: Benchmark,
+        start: SimInstant,
+    ) -> TrialPhysics {
         let duration = self.run_duration(benchmark);
         let env = RateEnvelope::build(&self.dut, self.flux, benchmark, duration);
         let tally = execute_trial(
@@ -415,18 +449,19 @@ impl BenchmarkRunner {
             benchmark,
             start,
         );
-        self.finish_trial(rng, benchmark, duration, tally)
+        self.conclude(rng, benchmark, duration, tally)
     }
 
-    /// The verdict phase shared by both paths: kernel-level SDC
-    /// adjudication, recovery overhead, and the canonical EDAC sort.
-    fn finish_trial(
-        &mut self,
+    /// The end of phase 1, shared by both paths: the crash decision, the
+    /// `Corruption` draw when corruption reached live program state,
+    /// recovery overhead, and the canonical EDAC sort.
+    fn conclude(
+        &self,
         rng: &mut SimRng,
         benchmark: Benchmark,
         duration: SimDuration,
         tally: TrialEvents,
-    ) -> RunOutcome {
+    ) -> TrialPhysics {
         let TrialEvents {
             mut edac,
             sram_strikes,
@@ -434,39 +469,35 @@ impl BenchmarkRunner {
             silent_corruptions,
             corruption_with_notification,
         } = tally;
-        let verdict = if let Some(class) = crash {
-            match class {
-                FailureClass::SysCrash => RunVerdict::SysCrash,
-                FailureClass::AppCrash => RunVerdict::AppCrash,
-                FailureClass::Sdc => unreachable!("crash path never yields SDC"),
-            }
-        } else if silent_corruptions > 0 {
-            // Corruption reached live program state: run the real kernel
-            // with an injected bit flip and compare against the golden
-            // output. Computation can still mask the flip (e.g. the value
-            // is overwritten, or an iterative solve repairs it to the
-            // same bits).
-            let corruption = Corruption::new(
-                rng.uniform_in(0.0, 0.999),
-                rng.below(1 << 20) as usize,
-                rng.below(64) as u8,
-            );
-            let output = benchmark.shared_kernel().run_corrupted(corruption);
-            if output.matches(benchmark.shared_golden()) {
-                RunVerdict::Correct
-            } else {
-                // §6.2's two notification cases: (1) a SECDED
-                // mis-correction caused the corruption itself, or (2) an
-                // unrelated corrected error happened to be logged during
-                // the same run, so the output mismatch arrives alongside a
-                // CE notification.
-                let coincident_ce = edac.iter().any(|r| r.severity == EdacSeverity::Corrected);
-                RunVerdict::Sdc {
-                    with_hw_notification: corruption_with_notification || coincident_ce,
+        let mut pending = None;
+        let verdict = match crash {
+            Some(FailureClass::SysCrash) => RunVerdict::SysCrash,
+            Some(FailureClass::AppCrash) => RunVerdict::AppCrash,
+            Some(FailureClass::Sdc) => unreachable!("crash path never yields SDC"),
+            None => {
+                if silent_corruptions > 0 {
+                    // §6.2's two notification cases for a mismatch: (1) a
+                    // SECDED mis-correction caused the corruption itself,
+                    // or (2) an unrelated corrected error was logged during
+                    // the same run.
+                    let coincident_ce = edac.iter().any(|r| r.severity == EdacSeverity::Corrected);
+                    pending = Some(Adjudication {
+                        benchmark,
+                        corruption: Corruption::new(
+                            rng.uniform_in(0.0, 0.999),
+                            rng.below(1 << 20) as usize,
+                            rng.below(64) as u8,
+                        ),
+                        notified: corruption_with_notification || coincident_ce,
+                        #[cfg(test)]
+                        poisoned: false,
+                    });
                 }
+                // Provisional for a pending adjudication: `Correct` and
+                // `Sdc` both add no recovery time, so the wall time below
+                // is final either way.
+                RunVerdict::Correct
             }
-        } else {
-            RunVerdict::Correct
         };
 
         let wall_time = duration + self.control_pc.recovery_overhead(verdict);
@@ -478,12 +509,69 @@ impl BenchmarkRunner {
                 .partial_cmp(&b.time)
                 .expect("EDAC report times are finite")
         });
-        RunOutcome {
-            benchmark,
-            verdict,
-            edac,
-            wall_time,
-            sram_strikes,
+        TrialPhysics {
+            outcome: RunOutcome {
+                benchmark,
+                verdict,
+                edac,
+                wall_time,
+                sram_strikes,
+            },
+            pending,
+        }
+    }
+}
+
+/// Phase 1's result: an outcome that is final except, while `pending`
+/// holds an adjudication, for its provisional `Correct` verdict.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TrialPhysics {
+    pub(crate) outcome: RunOutcome,
+    pub(crate) pending: Option<Adjudication>,
+}
+
+impl TrialPhysics {
+    /// Phase 2 inline: adjudicates the pending corrupted kernel, if any.
+    pub(crate) fn adjudicate(mut self) -> RunOutcome {
+        if let Some(adjudication) = self.pending {
+            self.outcome.verdict = adjudication.verdict();
+        }
+        self.outcome
+    }
+}
+
+/// A corrupted-kernel run phase 1 decided on but did not execute. Its
+/// verdict is a pure function of these fields, so it can run on any
+/// thread, in any order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Adjudication {
+    pub(crate) benchmark: Benchmark,
+    corruption: Corruption,
+    /// Whether a mismatch arrives alongside a CE notification.
+    notified: bool,
+    /// Makes [`Self::verdict`] panic, to exercise trial retries.
+    #[cfg(test)]
+    pub(crate) poisoned: bool,
+}
+
+impl Adjudication {
+    /// Phase 2, the SDC detector of §3.6: runs the real kernel with the
+    /// injected bit flip and compares its output bit-exactly against the
+    /// golden. Computation can still mask the flip (e.g. the value is
+    /// overwritten, or an iterative solve repairs it to the same bits).
+    pub(crate) fn verdict(self) -> RunVerdict {
+        #[cfg(test)]
+        assert!(!self.poisoned, "poisoned adjudication");
+        let output = self
+            .benchmark
+            .shared_kernel()
+            .run_corrupted(self.corruption);
+        if output.matches(self.benchmark.shared_golden()) {
+            RunVerdict::Correct
+        } else {
+            RunVerdict::Sdc {
+                with_hw_notification: self.notified,
+            }
         }
     }
 }
@@ -649,6 +737,61 @@ mod tests {
             // Identical draw consumption, not just identical outcomes.
             assert_eq!(fast_rng.uniform(), slow_rng.uniform(), "{point:?}");
         }
+    }
+
+    #[test]
+    fn phase_one_then_adjudication_is_run_once_draw_for_draw() {
+        // Phase 1's wall time is final only because the verdict adds no
+        // recovery time.
+        let pc = ControlPc::typical();
+        for notified in [false, true] {
+            let sdc = RunVerdict::Sdc {
+                with_hw_notification: notified,
+            };
+            assert_eq!(pc.recovery_overhead(sdc), SimDuration::ZERO);
+        }
+        assert_eq!(pc.recovery_overhead(RunVerdict::Correct), SimDuration::ZERO);
+
+        let mut adjudications = 0;
+        for point in [
+            OperatingPoint::nominal(),
+            OperatingPoint::vmin_2400(),
+            OperatingPoint::vmin_900(),
+        ] {
+            let (mut split, mut whole, mut naive) = (runner(point), runner(point), runner(point));
+            let mut rngs = [31, 31, 31].map(SimRng::seed_from);
+            for i in 0..2000 {
+                let b = Benchmark::ALL[i % 6];
+                let physics = split.simulate(&mut rngs[0], b, SimInstant::EPOCH);
+                adjudications += u32::from(physics.pending.is_some());
+                if physics.pending.is_some() {
+                    assert_eq!(physics.outcome.verdict, RunVerdict::Correct);
+                }
+                let staged = physics.outcome.clone();
+                let outcome = physics.adjudicate();
+                assert_eq!(
+                    RunOutcome {
+                        verdict: outcome.verdict,
+                        ..staged
+                    },
+                    outcome,
+                    "trial {i} at {point:?}: phase 2 may set only the verdict"
+                );
+                let at = format!("trial {i} at {point:?}");
+                assert_eq!(
+                    outcome,
+                    whole.run_once(&mut rngs[1], b, SimInstant::EPOCH),
+                    "{at}"
+                );
+                let reference = naive.run_once_reference(&mut rngs[2], b, SimInstant::EPOCH);
+                assert_eq!(outcome, reference, "{at}");
+                // Phase 1 consumed the trial's whole stream, exactly as the
+                // one-phase paths did.
+                let next = rngs.clone().map(|mut rng| rng.uniform());
+                assert!(next.iter().all(|&u| u == next[0]), "{at}");
+            }
+        }
+        assert!(adjudications > 10, "only {adjudications} adjudications");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   by unit tests: a tenant with queued work waits at most `T - 1` pops
 //!   (where `T` is the number of tenants with queued work) between two of
 //!   its own.
-//! - [`CancelToken`] — a shared flag the engine polls at wave boundaries.
+//! - [`CancelToken`] — a shared flag the engine polls at batch boundaries.
 //!   Cancellation is cooperative and clean: no trial is torn mid-flight,
 //!   the run journal stays resumable, and the cancelled run reports
 //!   [`Cancelled`] instead of fabricating a partial report.
@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A run was cancelled at a wave boundary before completing.
+/// A run was cancelled at a batch boundary before completing.
 ///
 /// Returned by the engine entry points
 /// ([`crate::campaign::Campaign::try_run_recoverable`],
@@ -34,7 +34,7 @@ pub struct Cancelled;
 
 impl std::fmt::Display for Cancelled {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("run cancelled at a wave boundary")
+        f.write_str("run cancelled at a batch boundary")
     }
 }
 
@@ -43,8 +43,8 @@ impl std::error::Error for Cancelled {}
 /// A shared cancellation flag, checked cooperatively by the engine.
 ///
 /// Cloning shares the flag; once [`cancel`](Self::cancel) is called every
-/// clone observes it. The engine polls the token at wave boundaries only,
-/// so a cancel lands after the current wave's absorbed trials have been
+/// clone observes it. The engine polls the token at batch boundaries only,
+/// so a cancel lands after the current batch's absorbed trials have been
 /// journaled and fsync'd — never mid-trial.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {

@@ -7,13 +7,31 @@
 //! `Benchmark::ALL[t % 6]` on its own RNG stream
 //! (`session_rng.stream("trial", &[t])`), so every trial's physics is a
 //! pure function of the session seed and the trial index — never of which
-//! thread ran it or in what order. The driver executes trials in
-//! speculative waves (inline, or on the [`crate::parallel`] pool when
-//! `jobs > 1`) and then *merges* the outcomes strictly in trial order:
-//! the simulated clock, the fluence ledger, the stopping rules and every
-//! observer callback are applied by the single-threaded merge exactly as
-//! the sequential loop would, and outcomes past the stopping trial are
-//! discarded. The report is therefore bit-identical for any `jobs`.
+//! thread ran it or in what order.
+//!
+//! The driver runs trials in batches, each in two phases (see
+//! [`crate::runner`]):
+//!
+//! 1. **Physics, in trial order, on the calling thread.** Arrivals,
+//!    strikes, ECC, the crash decision and the corruption draw, well under
+//!    a microsecond per trial. A batch ends at the first trial where a
+//!    stop rule could fire, or after 4,096 trials. The verdict never
+//!    moves the clock or the fluence, so the beam-time and fluence rules
+//!    are known exactly; the event rule counts every pending adjudication
+//!    as a possible event, so it can only end a batch early, never late.
+//! 2. **Adjudication, on the [`crate::parallel`] pool.** Each pending
+//!    corrupted-kernel run is one task, dispatched longest expected first
+//!    (MG, LU, FT, IS, EP, CG); fewer than two run inline.
+//!
+//! The single-threaded merge then *absorbs* the batch strictly in trial
+//! order: the simulated clock, the fluence ledger, the stopping rules, the
+//! journal and every observer callback are applied exactly as the
+//! sequential loop would, and it alone decides the stop. A failed attempt
+//! is retried on its own attempt stream (see [`RetryPolicy`]). A retried
+//! trial's new physics can bring the stop inside the batch, and outcomes
+//! past the stop are discarded; it can also resolve events the batch
+//! counted as pending, and the next batch goes on from there. The report
+//! is therefore bit-identical for any `jobs`.
 //!
 //! [`TestSession::run`] is the one way to execute a session: worker
 //! count, retry policy, journal, recovered prefix and cancellation all
@@ -21,6 +39,7 @@
 //! is its naive one-trial-at-a-time twin, kept as the differential oracle.
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -35,7 +54,11 @@ use crate::campaign::CampaignRunOptions;
 use crate::classify::{FailureClass, RunVerdict};
 use crate::dut::DeviceUnderTest;
 use crate::journal::Record;
-use crate::runner::{BenchmarkRunner, RunOutcome};
+use crate::parallel::{
+    backoff_delay, call_caught, call_with_deadline, par_map_with_profile, AttemptFailure,
+    PoolProfile,
+};
+use crate::runner::{Adjudication, BenchmarkRunner, RunOutcome};
 use crate::scheduler::Cancelled;
 
 /// When a session ends.
@@ -70,6 +93,22 @@ impl SessionLimits {
             max_fluence: Fluence::per_cm2(f64::MAX / 1e10),
             max_duration: Some(duration),
         }
+    }
+}
+
+impl SessionLimits {
+    /// The rule that fires at these totals, in the canonical order.
+    fn reached(&self, events: u64, fluence: Fluence, duration: SimDuration) -> Option<StopReason> {
+        [
+            (events >= self.max_error_events, StopReason::ErrorEvents),
+            (fluence >= self.max_fluence, StopReason::Fluence),
+            (
+                self.max_duration.is_some_and(|max| duration >= max),
+                StopReason::BeamTime,
+            ),
+        ]
+        .into_iter()
+        .find_map(|(fired, reason)| fired.then_some(reason))
     }
 }
 
@@ -293,6 +332,9 @@ impl SessionReport {
 pub struct TestSession {
     runner: BenchmarkRunner,
     limits: SessionLimits,
+    /// `(trial, attempt)` whose adjudication panics, to exercise retries.
+    #[cfg(test)]
+    poison: Option<(u64, u32)>,
 }
 
 impl TestSession {
@@ -311,31 +353,37 @@ impl TestSession {
         TestSession {
             runner: BenchmarkRunner::new(dut, flux),
             limits,
+            #[cfg(test)]
+            poison: None,
         }
     }
 
     /// Runs the session to a stopping rule on `options.jobs` workers,
     /// reporting every event through `observer` — the one entry point of
-    /// the wave engine.
+    /// the batch engine (see the module docs for its two phases).
     ///
     /// The merge that drives the observer is single-threaded and in trial
     /// order, so observers need no synchronization and see the same trace
     /// at any `jobs`; observation never perturbs the simulation. Failing
-    /// trials are retried or quarantined under `options.retry`. Every
-    /// absorbed trial is appended to `options.journal`, tagged with
-    /// `session_index`, and the journal is fsync'd once per wave.
+    /// trials are retried or quarantined under `options.retry`; with a
+    /// watchdog, phase 1 runs inline and is charged to the attempt's
+    /// budget, and only the adjudication runs on a helper thread under the
+    /// rest. Every absorbed trial is appended to `options.journal`, tagged
+    /// with `session_index`, and the journal is fsync'd once per batch.
+    /// Each batch is reported through
+    /// [`on_wave`](crate::trace::SessionObserver::on_wave).
     ///
     /// When `options.recovered` holds a journaled prefix of this session,
     /// its trials are folded through the exact accumulator the live path
     /// uses (no physics re-run) and every RNG stream re-derives from the
     /// caller's generator, so an interrupted-and-resumed session produces
     /// a report and observer trace bit-identical to an uninterrupted one
-    /// at any `jobs` count (wave boundaries restart on resume, but
+    /// at any `jobs` count (batch boundaries restart on resume, but
     /// [`WaveStats`](crate::trace::WaveStats) is engine telemetry that
     /// trace observers ignore).
     ///
     /// When `options.cancel` fires, the run stops cleanly at the next
-    /// wave boundary. Every trial absorbed before the boundary has been
+    /// batch boundary. Every trial absorbed before the boundary has been
     /// journaled and fsync'd, no `SessionEnd` record is written and no
     /// `on_session_end` callback fires, so the journal reads exactly like
     /// a crash at a record boundary and resumes bit-identically through
@@ -419,58 +467,38 @@ impl TestSession {
         let stop_reason = match replayed_stop {
             Some(reason) => reason,
             None => loop {
-                // Wave boundary: the only place a cancel can land. The
-                // previous wave's trials are journaled and synced, so
+                // Batch boundary: the only place a cancel can land. The
+                // previous batch's trials are journaled and synced, so
                 // bailing here leaves the journal resumable.
                 if options.cancelled() {
                     return Err(Cancelled);
                 }
-                let wave_clock = std::time::Instant::now();
-                let wave = self.wave_size(&acc, options.jobs, next_trial);
-                let trials: Vec<u64> = (next_trial..next_trial + wave as u64).collect();
-                let retry = options.retry;
-                // One effective worker means no pool: run on the calling
-                // thread with the session's persistent runner, whose scratch
-                // and envelope caches then survive across waves. The pool
-                // branch would reach the same trials (determinism contract),
-                // just slower.
-                let inline =
-                    options.jobs == 1 || crate::parallel::effective_workers(options.jobs) == 1;
-                let (executions, pool): (Vec<TrialExecution>, _) = if inline {
-                    let runner = &mut self.runner;
-                    let shards = trials.len() as u64;
-                    let executions: Vec<TrialExecution> = trials
-                        .into_iter()
-                        .map(|t| run_trial_robust(runner, &session_rng, t, retry))
-                        .collect();
-                    let wall = u64::try_from(wave_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    (
-                        executions,
-                        crate::parallel::PoolProfile::inline(wall, shards),
-                    )
-                } else {
-                    let dut = self.runner.dut().clone();
-                    let root = &session_rng;
-                    crate::parallel::par_map_with_profile(
-                        options.jobs,
-                        trials,
-                        move || BenchmarkRunner::new(dut.clone(), flux),
-                        |runner, trial| run_trial_robust(runner, root, trial, retry),
-                    )
+                let batch_clock = Instant::now();
+                let mut trials = Trials {
+                    runner: &mut self.runner,
+                    root: &session_rng,
+                    policy: options.retry,
+                    #[cfg(test)]
+                    poison: self.poison,
                 };
-                // Canonical merge: trial order, stop rules exact; outcomes
-                // past the stopping trial are speculation and fall on the
-                // floor. Absorbed trials are journaled (buffered) and the
-                // journal is fsync'd once per wave below.
+                let batch = trials.stage_batch(next_trial, &acc);
+                let planned = batch.len();
+                let (verdicts, pool) = adjudicate_batch(&batch, options.jobs);
+                // Canonical merge: trial order, stop rules exact. A failed
+                // adjudication retries its whole trial here, so trials past
+                // the stop never pay for a retry. Absorbed trials are
+                // journaled (buffered) and the journal is fsync'd once per
+                // batch below.
+                let (retries, quarantined) = (acc.trial_retries, acc.quarantined.len());
                 let mut absorbed = 0usize;
-                let mut wave_retries = 0u64;
-                let mut wave_quarantined = 0u64;
                 let mut stopped = None;
-                for execution in executions {
-                    let run_only = self.runner.run_duration(execution.outcome.benchmark);
+                for (staged, verdict) in batch.into_iter().zip(verdicts) {
+                    let execution = match verdict {
+                        Some(verdict) => trials.settle(staged, verdict),
+                        None => staged.execution,
+                    };
+                    let run_only = trials.runner.run_duration(execution.outcome.benchmark);
                     absorbed += 1;
-                    wave_retries += u64::from(execution.retries);
-                    wave_quarantined += u64::from(execution.quarantined);
                     if let Some(journal) = options.journal.as_deref_mut() {
                         journal.append(&Record::Trial {
                             session: session_index,
@@ -489,17 +517,17 @@ impl TestSession {
                 // the simulation, and trace observers ignore this callback.
                 observer.on_wave(crate::trace::WaveStats {
                     first_trial: next_trial,
-                    planned: wave,
+                    planned,
                     absorbed,
-                    host_nanos: u64::try_from(wave_clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    retries: wave_retries,
-                    quarantined: wave_quarantined,
+                    host_nanos: u64::try_from(batch_clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                    retries: acc.trial_retries - retries,
+                    quarantined: (acc.quarantined.len() - quarantined) as u64,
                     pool,
                 });
                 if let Some(reason) = stopped {
                     break reason;
                 }
-                next_trial += wave as u64;
+                next_trial += planned as u64;
             },
         };
 
@@ -521,18 +549,18 @@ impl TestSession {
     }
 
     /// Runs the session through the *naive reference executor*: one trial
-    /// at a time, absorbed immediately, with no speculative waves and no
-    /// worker pool — the textbook transcription of the execution model in
-    /// the module docs. Every event is reported through `observer`,
-    /// exactly as the wave engine would report it.
+    /// at a time, both phases inline, absorbed immediately — the textbook
+    /// transcription of the execution model in the module docs. Every
+    /// event is reported through `observer`, exactly as the batch engine
+    /// would report it.
     ///
     /// This path exists for differential verification (see the
-    /// `serscale-verify` crate): the wave engine's speculation, sharding
-    /// and canonical merge must be observationally equivalent to this
-    /// loop, bit for bit, at any `jobs` count. It is deliberately kept
-    /// free of the throughput machinery at *both* layers: no speculative
-    /// waves or worker pool here ([`Self::run`] speculates in waves even
-    /// at `jobs == 1`), and each trial's physics runs through
+    /// `serscale-verify` crate): the batch engine's projected batch ends,
+    /// out-of-order adjudication and canonical merge must be
+    /// observationally equivalent to this loop, bit for bit, at any `jobs`
+    /// count. It is deliberately kept free of the throughput machinery at
+    /// *both* layers: no batches or worker pool here ([`Self::run`]
+    /// batches even at `jobs == 1`), and each trial's physics runs through
     /// [`BenchmarkRunner::run_once_reference`] — the per-event,
     /// envelope-rebuilt, codec-decoded twin of the batched hot path.
     pub fn run_reference(
@@ -543,7 +571,7 @@ impl TestSession {
         let flux = self.runner.flux();
         let point = self.runner.dut().operating_point();
         observer.on_session_start(SimInstant::EPOCH, point);
-        // Identical seed derivation to the wave engine: one draw from the
+        // Identical seed derivation to the batch engine: one draw from the
         // caller's generator roots every trial stream.
         let session_rng = SimRng::seed_from(rng.next_seed());
 
@@ -574,123 +602,205 @@ impl TestSession {
         observer.on_session_end(acc.clock, stop_reason);
         acc.into_report(point, stop_reason)
     }
+}
 
-    /// How many trials to launch speculatively before the next merge.
-    ///
-    /// Purely a throughput knob: any positive value yields the same
-    /// report. Estimates the trials left from whichever stopping rule will
-    /// fire first, so overshoot past the stopping trial stays small.
-    fn wave_size(&self, acc: &Accumulator, jobs: usize, trials_done: u64) -> usize {
-        const MAX_WAVE: usize = 4096;
-        let min_wave = 32.max(jobs * 4).min(MAX_WAVE);
+/// The most trials one batch stages before its merge: it bounds the
+/// outcomes held in memory and how long a cancel waits.
+const MAX_BATCH: usize = 4096;
 
-        let mean_trial_secs = Benchmark::ALL
-            .iter()
-            .map(|b| self.runner.run_duration(*b).as_secs())
-            .sum::<f64>()
-            / Benchmark::ALL.len() as f64;
+/// The benchmarks by expected adjudication cost, longest first. Phase 2
+/// dispatches in this order so that no long kernel starts last.
+const LONGEST_FIRST: [Benchmark; 6] = [
+    Benchmark::Mg,
+    Benchmark::Lu,
+    Benchmark::Ft,
+    Benchmark::Is,
+    Benchmark::Ep,
+    Benchmark::Cg,
+];
 
-        let mut remaining_secs = f64::INFINITY;
-        if let Some(max) = self.limits.max_duration {
-            remaining_secs = remaining_secs.min((max - acc.ledger.total_duration()).as_secs());
-        }
-        let flux = acc.flux.as_per_cm2_s();
-        if flux > 0.0 {
-            let fluence_left =
-                self.limits.max_fluence.as_per_cm2() - acc.ledger.total_fluence().as_per_cm2();
-            remaining_secs = remaining_secs.min((fluence_left / flux).max(0.0));
-        }
-        let events = acc.error_events();
-        if self.limits.max_error_events != u64::MAX && events > 0 {
-            let elapsed = acc.ledger.total_duration().as_secs();
-            if elapsed > 0.0 {
-                let need = self.limits.max_error_events.saturating_sub(events) as f64;
-                // 20% margin: underestimating the event rate just costs one
-                // more (cheap) wave, overestimating wastes speculation.
-                remaining_secs =
-                    remaining_secs.min(need * elapsed / events as f64 * 1.2 + mean_trial_secs);
+/// One adjudication attempt's result.
+type Verdict = Result<RunVerdict, AttemptFailure>;
+
+/// One trial between the phases: its execution, final except for the
+/// verdict of a pending adjudication.
+struct Staged {
+    execution: TrialExecution,
+    pending: Option<Adjudication>,
+    /// What phase 1 left of the attempt's host-time budget (`None`: no
+    /// watchdog).
+    budget: Option<Duration>,
+}
+
+/// What trial execution shares across a session: its runner, the root
+/// of its trial streams and its [`RetryPolicy`]. Trial `t` runs benchmark
+/// `ALL[t % 6]`, timestamped from the epoch (the merge re-bases
+/// timestamps onto the session clock).
+struct Trials<'a> {
+    runner: &'a mut BenchmarkRunner,
+    root: &'a SimRng,
+    policy: RetryPolicy,
+    /// `(trial, attempt)` whose adjudication panics, to exercise retries.
+    #[cfg(test)]
+    poison: Option<(u64, u32)>,
+}
+
+impl Trials<'_> {
+    /// Phase 1 of trials `first..`, in trial order. The batch ends at the
+    /// first trial where a stop rule could fire, counting each pending
+    /// adjudication as an event, or after [`MAX_BATCH`] trials. Verdicts
+    /// never move the clock or the fluence, so with no failed attempt the
+    /// batch never runs past the stop.
+    fn stage_batch(&mut self, first: u64, acc: &Accumulator) -> Vec<Staged> {
+        let mut events = acc.error_events();
+        let mut fluence = acc.ledger.total_fluence();
+        let mut duration = acc.ledger.total_duration();
+        let mut batch = Vec::new();
+        for trial in first.. {
+            let staged = self.stage(trial, 0);
+            let outcome = &staged.execution.outcome;
+            events +=
+                u64::from(staged.pending.is_some() || outcome.verdict.failure_class().is_some());
+            fluence += acc.flux * outcome.wall_time;
+            duration += outcome.wall_time;
+            batch.push(staged);
+            if batch.len() == MAX_BATCH || acc.limits.reached(events, fluence, duration).is_some() {
+                break;
             }
         }
+        batch
+    }
 
-        let estimate = if remaining_secs.is_finite() {
-            // Clamp in f64: a far-off fluence rule can put the estimate
-            // beyond usize range.
-            ((remaining_secs / mean_trial_secs).ceil() + 1.0).min(MAX_WAVE as f64) as usize
-        } else {
-            // No rule is predictable yet (e.g. an event-limited session
-            // before its first event): grow geometrically.
-            trials_done.min(MAX_WAVE as u64) as usize
-        };
-        estimate.clamp(min_wave, MAX_WAVE)
+    /// Phase 1 of one trial from attempt `first_attempt` on, retrying
+    /// failed attempts. Phase 1 runs inline and is charged to the attempt's
+    /// budget; a zero budget fails without running anything.
+    fn stage(&mut self, trial: u64, first_attempt: u32) -> Staged {
+        let benchmark = Benchmark::ALL[(trial % Benchmark::ALL.len() as u64) as usize];
+        for attempt in first_attempt..=self.policy.max_retries {
+            let mut rng = if attempt == 0 {
+                self.root.stream("trial", &[trial])
+            } else {
+                self.root.stream("trial", &[trial, u64::from(attempt)])
+            };
+            let started = self.policy.timeout.map(|limit| (limit, Instant::now()));
+            let runner = &mut *self.runner;
+            let result = match self.policy.timeout {
+                Some(limit) if limit.is_zero() => Err(AttemptFailure::TimedOut),
+                _ => call_caught(|| runner.simulate(&mut rng, benchmark, SimInstant::EPOCH)),
+            };
+            let budget = started.map(|(limit, at)| limit.saturating_sub(at.elapsed()));
+            match result {
+                Ok(physics) if budget != Some(Duration::ZERO) => {
+                    #[cfg(test)]
+                    let physics = self.poisoned(physics, trial, attempt);
+                    return Staged {
+                        execution: TrialExecution {
+                            trial,
+                            outcome: physics.outcome,
+                            retries: attempt,
+                            quarantined: false,
+                        },
+                        pending: physics.pending,
+                        budget,
+                    };
+                }
+                _ if attempt < self.policy.max_retries => {
+                    std::thread::sleep(backoff_delay(self.policy.backoff, attempt));
+                }
+                _ => {}
+            }
+        }
+        Staged {
+            execution: self.quarantined(trial),
+            pending: None,
+            budget: None,
+        }
+    }
+
+    /// Completes a staged trial with its adjudication's result. A failed
+    /// adjudication retries the whole trial inline from the next attempt
+    /// stream, until an attempt succeeds or the trial is quarantined.
+    fn settle(&mut self, mut staged: Staged, mut verdict: Verdict) -> TrialExecution {
+        loop {
+            let attempt = staged.execution.retries;
+            match verdict {
+                Ok(verdict) => {
+                    staged.execution.outcome.verdict = verdict;
+                    return staged.execution;
+                }
+                Err(_) if attempt >= self.policy.max_retries => {
+                    return self.quarantined(staged.execution.trial);
+                }
+                Err(_) => {
+                    std::thread::sleep(backoff_delay(self.policy.backoff, attempt));
+                    staged = self.stage(staged.execution.trial, attempt + 1);
+                    match staged.pending {
+                        Some(pending) => verdict = adjudicate(pending, staged.budget),
+                        None => return staged.execution,
+                    }
+                }
+            }
+        }
+    }
+
+    /// The placeholder of a trial whose every attempt failed: a correct
+    /// verdict, no events, the benchmark's nominal beam time.
+    fn quarantined(&self, trial: u64) -> TrialExecution {
+        let benchmark = Benchmark::ALL[(trial % Benchmark::ALL.len() as u64) as usize];
+        TrialExecution {
+            trial,
+            outcome: RunOutcome {
+                benchmark,
+                verdict: RunVerdict::Correct,
+                edac: Vec::new(),
+                wall_time: self.runner.run_duration(benchmark),
+                sram_strikes: 0,
+            },
+            retries: self.policy.max_retries,
+            quarantined: true,
+        }
+    }
+
+    #[cfg(test)]
+    fn poisoned(
+        &self,
+        mut physics: crate::runner::TrialPhysics,
+        trial: u64,
+        attempt: u32,
+    ) -> crate::runner::TrialPhysics {
+        if let Some(pending) = &mut physics.pending {
+            pending.poisoned = self.poison == Some((trial, attempt));
+        }
+        physics
     }
 }
 
-/// Runs trial `t` of a session under a [`RetryPolicy`]: benchmark
-/// `ALL[t % 6]` on the counter-derived stream for `t`, timestamped from
-/// the epoch (the merge re-bases timestamps onto the session clock).
-///
-/// Attempt 0 runs on the canonical stream `("trial", [t])` — with no
-/// failures this is bit-identical to the plain path. A panicking or
-/// timed-out attempt `a` is retried on `("trial", [t, a + 1])` after an
-/// exponential host-time backoff; when every attempt fails the trial is
-/// quarantined behind a synthetic placeholder outcome (correct verdict,
-/// no events, the benchmark's nominal beam time) so one poisoned trial
-/// cannot take down the wave.
-fn run_trial_robust(
-    runner: &mut BenchmarkRunner,
-    session_rng: &SimRng,
-    trial: u64,
-    policy: RetryPolicy,
-) -> TrialExecution {
-    let benchmark = Benchmark::ALL[(trial % Benchmark::ALL.len() as u64) as usize];
-    for attempt in 0..=policy.max_retries {
-        let mut rng = if attempt == 0 {
-            session_rng.stream("trial", &[trial])
-        } else {
-            session_rng.stream("trial", &[trial, u64::from(attempt)])
-        };
-        let result = match policy.timeout {
-            None => crate::parallel::call_caught(|| {
-                runner.run_once(&mut rng, benchmark, SimInstant::EPOCH)
-            }),
-            Some(limit) => {
-                // The watchdogged attempt runs on a helper thread with its
-                // own runner so a hung attempt can be abandoned.
-                let dut = runner.dut().clone();
-                let flux = runner.flux();
-                crate::parallel::call_with_deadline(limit, move || {
-                    let mut fresh = BenchmarkRunner::new(dut, flux);
-                    fresh.run_once(&mut rng, benchmark, SimInstant::EPOCH)
-                })
-            }
-        };
-        match result {
-            Ok(outcome) => {
-                return TrialExecution {
-                    trial,
-                    outcome,
-                    retries: attempt,
-                    quarantined: false,
-                }
-            }
-            Err(_) if attempt < policy.max_retries => {
-                std::thread::sleep(crate::parallel::backoff_delay(policy.backoff, attempt));
-            }
-            Err(_) => {}
-        }
+/// Phase 2 of a batch: every pending adjudication as one pool task,
+/// longest expected first. Returns each trial's result in batch order
+/// (`None` where nothing was pending) and the pool's profile.
+fn adjudicate_batch(batch: &[Staged], jobs: usize) -> (Vec<Option<Verdict>>, PoolProfile) {
+    let mut tasks: Vec<(usize, Adjudication, Option<Duration>)> = batch
+        .iter()
+        .enumerate()
+        .filter_map(|(slot, staged)| staged.pending.map(|a| (slot, a, staged.budget)))
+        .collect();
+    tasks.sort_by_key(|(_, a, _)| LONGEST_FIRST.iter().position(|&b| b == a.benchmark));
+    let (results, pool) = par_map_with_profile(jobs, tasks, |(slot, a, budget)| {
+        (slot, adjudicate(a, budget))
+    });
+    let mut verdicts: Vec<_> = batch.iter().map(|_| None).collect();
+    for (slot, result) in results {
+        verdicts[slot] = Some(result);
     }
-    let wall_time = runner.run_duration(benchmark);
-    TrialExecution {
-        trial,
-        outcome: RunOutcome {
-            benchmark,
-            verdict: RunVerdict::Correct,
-            edac: Vec::new(),
-            wall_time,
-            sram_strikes: 0,
-        },
-        retries: policy.max_retries,
-        quarantined: true,
+    (verdicts, pool)
+}
+
+/// One adjudication attempt: caught if it panics, and on a helper thread
+/// under the rest of its attempt's budget when a watchdog is set.
+fn adjudicate(adjudication: Adjudication, budget: Option<Duration>) -> Verdict {
+    match budget {
+        None => call_caught(|| adjudication.verdict()),
+        Some(left) => call_with_deadline(left, move || adjudication.verdict()),
     }
 }
 
@@ -811,18 +921,11 @@ impl Accumulator {
 
     /// Evaluates the stopping rules in their canonical order.
     fn check_stop_rules(&self) -> Option<StopReason> {
-        if self.error_events() >= self.limits.max_error_events {
-            return Some(StopReason::ErrorEvents);
-        }
-        if self.ledger.total_fluence() >= self.limits.max_fluence {
-            return Some(StopReason::Fluence);
-        }
-        if let Some(max) = self.limits.max_duration {
-            if self.ledger.total_duration() >= max {
-                return Some(StopReason::BeamTime);
-            }
-        }
-        None
+        self.limits.reached(
+            self.error_events(),
+            self.ledger.total_fluence(),
+            self.ledger.total_duration(),
+        )
     }
 
     fn into_report(self, point: OperatingPoint, stop_reason: StopReason) -> SessionReport {
@@ -854,7 +957,7 @@ mod tests {
         DeviceUnderTest::xgene2(point, DeviceUnderTest::paper_vmin(point.frequency))
     }
 
-    /// Runs `session` through the wave engine on `jobs` workers, unobserved.
+    /// Runs `session` through the batch engine on `jobs` workers, unobserved.
     fn engine(session: &mut TestSession, rng: &mut SimRng, jobs: usize) -> SessionReport {
         session
             .run(
@@ -973,17 +1076,17 @@ mod tests {
                 SessionLimits::time_boxed(SimDuration::from_minutes(30.0)),
             )
         };
-        let wave = engine(&mut make(), &mut SimRng::seed_from(12), 1);
+        let batched = engine(&mut make(), &mut SimRng::seed_from(12), 1);
         let reference =
             make().run_reference(&mut SimRng::seed_from(12), &mut crate::trace::NoopObserver);
-        assert_eq!(wave, reference);
+        assert_eq!(batched, reference);
     }
 
     #[test]
     fn reference_executor_matches_on_event_limited_sessions() {
-        // The event rule is where wave speculation overshoots; the merge
-        // must discard the overshoot and land exactly where the naive
-        // loop does.
+        // The event rule is where a batch's projection is inexact: pending
+        // adjudications may come back masked, and the merge must land
+        // exactly where the naive loop does.
         let make = || {
             TestSession::new(
                 dut(OperatingPoint::vmin_2400()),
@@ -995,10 +1098,10 @@ mod tests {
                 },
             )
         };
-        let wave = engine(&mut make(), &mut SimRng::seed_from(13), 4);
+        let batched = engine(&mut make(), &mut SimRng::seed_from(13), 4);
         let reference =
             make().run_reference(&mut SimRng::seed_from(13), &mut crate::trace::NoopObserver);
-        assert_eq!(wave, reference);
+        assert_eq!(batched, reference);
         assert_eq!(reference.stop_reason, StopReason::ErrorEvents);
     }
 
@@ -1320,7 +1423,7 @@ mod tests {
     /// comes up zero still gets its `on_run` callback, its journal row
     /// and its report bookkeeping, identical to the naive per-event
     /// executor. A quiet-beam session (≈every trial short-circuits) is
-    /// run through the wave engine with a journal and a [`Logbook`] and
+    /// run through the batch engine with a journal and a [`Logbook`] and
     /// diffed against the reference executor.
     ///
     /// [`Logbook`]: crate::trace::Logbook
@@ -1346,7 +1449,7 @@ mod tests {
         let config = crate::campaign::CampaignConfig::paper_scaled(0.01);
         let (mut journal, recovered) = start_or_resume(&dir, &config).unwrap();
         assert!(recovered.is_none());
-        let mut wave_log = crate::trace::Logbook::new();
+        let mut batch_log = crate::trace::Logbook::new();
         let report = make()
             .run(
                 &mut SimRng::seed_from(23),
@@ -1355,13 +1458,13 @@ mod tests {
                     journal: Some(&mut journal),
                     ..CampaignRunOptions::with_jobs(8)
                 },
-                &mut wave_log,
+                &mut batch_log,
             )
             .expect("no cancel token");
         drop(journal);
 
         assert_eq!(report, reference);
-        assert_eq!(wave_log, reference_log);
+        assert_eq!(batch_log, reference_log);
         // The short-circuit really was exercised: plenty of trials, almost
         // none of them with an upset.
         assert!(report.runs > 100, "runs = {}", report.runs);
@@ -1372,7 +1475,7 @@ mod tests {
             report.runs
         );
         // Every trial has its Run event in the trace…
-        let run_events = wave_log
+        let run_events = batch_log
             .events()
             .iter()
             .filter(|e| matches!(e, crate::trace::LogEvent::Run { .. }))
@@ -1388,6 +1491,180 @@ mod tests {
             assert!(!t.quarantined);
         }
         assert_eq!(journaled.ended, Some(StopReason::BeamTime));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Records the engine's batch telemetry.
+    #[derive(Default)]
+    struct Batches(Vec<crate::trace::WaveStats>);
+
+    impl crate::trace::SessionObserver for Batches {
+        fn on_wave(&mut self, stats: crate::trace::WaveStats) {
+            self.0.push(stats);
+        }
+    }
+
+    /// The root of a session's trial streams, derived as `run` derives it.
+    fn trial_root(seed: u64) -> SimRng {
+        SimRng::seed_from(SimRng::seed_from(seed).next_seed())
+    }
+
+    /// The event rule counts pending adjudications as events, so the first
+    /// batch ends where events plus pending first reach the limit. Here
+    /// two or more adjudications are still open at that trial; whatever
+    /// they resolve to, the engine must land where the naive loop does.
+    #[test]
+    fn event_limit_crossed_with_adjudications_pending_matches_reference() {
+        let limits = SessionLimits {
+            max_error_events: 6,
+            max_fluence: Fluence::per_cm2(1e30),
+            max_duration: None,
+        };
+        let point = OperatingPoint::vmin_2400();
+        let flux = Flux::per_cm2_s(WORKING_FLUX);
+        let make = || TestSession::new(dut(point), flux, limits);
+        let seed = 29;
+
+        // Replay phase 1 up to the first batch's end.
+        let root = trial_root(seed);
+        let mut runner = BenchmarkRunner::new(dut(point), flux);
+        let (mut events, mut pending, mut trials) = (0u64, 0u64, 0u64);
+        while events + pending < limits.max_error_events {
+            let mut rng = root.stream("trial", &[trials]);
+            let benchmark = Benchmark::ALL[(trials % 6) as usize];
+            let physics = runner.simulate(&mut rng, benchmark, SimInstant::EPOCH);
+            if physics.pending.is_some() {
+                pending += 1;
+            } else if physics.outcome.verdict.failure_class().is_some() {
+                events += 1;
+            }
+            trials += 1;
+        }
+        assert!(pending >= 2, "only {pending} adjudications pending");
+
+        let mut reference_log = crate::trace::Logbook::new();
+        let reference = make().run_reference(&mut SimRng::seed_from(seed), &mut reference_log);
+        assert_eq!(reference.stop_reason, StopReason::ErrorEvents);
+        for jobs in [1, 2, 4, 8] {
+            let mut log = crate::trace::Logbook::new();
+            let mut batches = Batches::default();
+            let report = make()
+                .run(
+                    &mut SimRng::seed_from(seed),
+                    0,
+                    &mut CampaignRunOptions::with_jobs(jobs),
+                    &mut crate::trace::tee(&mut log, &mut batches),
+                )
+                .expect("no cancel token");
+            assert_eq!(report, reference, "jobs = {jobs}");
+            assert_eq!(log, reference_log, "jobs = {jobs}");
+            assert_eq!(batches.0[0].planned as u64, trials, "jobs = {jobs}");
+        }
+    }
+
+    /// Verdicts never move the clock or the fluence, so a time-boxed
+    /// session stages exactly the trials it absorbs: no batch runs past
+    /// the stop.
+    #[test]
+    fn time_boxed_batches_run_nothing_past_the_stop() {
+        for jobs in [1, 4] {
+            let mut session = TestSession::new(
+                dut(OperatingPoint::vmin_2400()),
+                Flux::per_cm2_s(WORKING_FLUX),
+                SessionLimits::time_boxed(SimDuration::from_minutes(400.0)),
+            );
+            let mut batches = Batches::default();
+            let report = session
+                .run(
+                    &mut SimRng::seed_from(19),
+                    0,
+                    &mut CampaignRunOptions::with_jobs(jobs),
+                    &mut batches,
+                )
+                .expect("no cancel token");
+            assert!(batches.0.len() >= 2, "jobs = {jobs}: one batch only");
+            for batch in &batches.0 {
+                assert_eq!(batch.planned, batch.absorbed, "jobs = {jobs}: {batch:?}");
+            }
+            let absorbed: usize = batches.0.iter().map(|b| b.absorbed).sum();
+            assert_eq!(absorbed as u64, report.runs, "jobs = {jobs}");
+            assert!(report.error_events() > 0, "jobs = {jobs}: no adjudication");
+        }
+    }
+
+    /// A panicking adjudication retries its whole trial on attempt stream
+    /// 1, through the pool, the inline path and the watchdog alike.
+    #[test]
+    fn failed_adjudication_retries_the_trial_on_attempt_stream_one() {
+        use crate::journal::{journal_path, read_journal, start_or_resume};
+        let point = OperatingPoint::vmin_2400();
+        let flux = Flux::per_cm2_s(WORKING_FLUX);
+        let seed = 37;
+        let root = trial_root(seed);
+        let mut runner = BenchmarkRunner::new(dut(point), flux);
+        let benchmark = |t: u64| Benchmark::ALL[(t % 6) as usize];
+        let poisoned = (0u64..)
+            .find(|&t| {
+                let mut rng = root.stream("trial", &[t]);
+                let physics = runner.simulate(&mut rng, benchmark(t), SimInstant::EPOCH);
+                physics.pending.is_some()
+            })
+            .expect("trial indices are unbounded");
+        let mut rng = root.stream("trial", &[poisoned, 1]);
+        let retried = runner.run_once(&mut rng, benchmark(poisoned), SimInstant::EPOCH);
+
+        let dir =
+            std::env::temp_dir().join(format!("serscale-poisoned-trial-{}", std::process::id()));
+        let config = crate::campaign::CampaignConfig::paper_scaled(0.01);
+        for (jobs, timeout) in [
+            (1, None),
+            (2, None),
+            (2, Some(std::time::Duration::from_secs(30))),
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let (mut journal, _) = start_or_resume(&dir, &config).unwrap();
+            let mut session = TestSession::new(
+                dut(point),
+                flux,
+                SessionLimits::time_boxed(SimDuration::from_minutes(120.0)),
+            );
+            session.poison = Some((poisoned, 0));
+            let report = session
+                .run(
+                    &mut SimRng::seed_from(seed),
+                    0,
+                    &mut CampaignRunOptions {
+                        retry: RetryPolicy {
+                            max_retries: 2,
+                            backoff: std::time::Duration::ZERO,
+                            timeout,
+                        },
+                        journal: Some(&mut journal),
+                        ..CampaignRunOptions::with_jobs(jobs)
+                    },
+                    &mut crate::trace::NoopObserver,
+                )
+                .expect("no cancel token");
+            drop(journal);
+            assert_eq!(report.trial_retries, 1, "jobs = {jobs}");
+            assert!(report.quarantined_trials.is_empty(), "jobs = {jobs}");
+            let records = read_journal(&journal_path(&dir)).unwrap();
+            let trials = records.iter().filter_map(|r| match r {
+                Record::Trial { execution, .. } => Some(execution),
+                _ => None,
+            });
+            let mut seen = false;
+            for t in trials {
+                if t.trial == poisoned {
+                    assert_eq!((t.retries, &t.outcome), (1, &retried), "jobs = {jobs}");
+                    seen = true;
+                } else {
+                    assert_eq!(t.retries, 0, "trial {}, jobs = {jobs}", t.trial);
+                }
+            }
+            assert!(seen, "jobs = {jobs}: the poisoned trial was not journaled");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -57,37 +57,38 @@ pub enum LogEvent {
     },
 }
 
-/// What the wave engine measured while executing and merging one
-/// speculative wave. Reported through [`SessionObserver::on_wave`] for
-/// engine telemetry only: `host_nanos` is *host* wall-clock (it varies
-/// run to run and across `--jobs`), so simulation-facing observers like
-/// [`Logbook`] must ignore it — and the reference executor, which has no
-/// waves, never reports it at all.
+/// What the batch engine measured while running and merging one batch of
+/// trials (see [`crate::session`]'s execution model). Reported through
+/// [`SessionObserver::on_wave`] for engine telemetry only: `host_nanos`
+/// is *host* wall-clock (it varies run to run and across `--jobs`), so
+/// simulation-facing observers like [`Logbook`] must ignore it — and the
+/// reference executor, which has no batches, never reports it at all.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WaveStats {
-    /// Index of the first trial in the wave.
+    /// Index of the first trial in the batch.
     pub first_trial: u64,
-    /// How many trials the wave launched speculatively.
+    /// How many trials phase 1 staged for the batch.
     pub planned: usize,
-    /// How many outcomes the canonical merge absorbed before a stopping
-    /// rule fired (the rest were discarded speculation).
+    /// How many of them the canonical merge absorbed before a stopping
+    /// rule fired. Equal to `planned` unless a retried trial moved the
+    /// stop earlier.
     pub absorbed: usize,
-    /// Host wall-clock nanoseconds spent executing and merging the wave.
+    /// Host wall-clock nanoseconds spent on both phases and the merge.
     pub host_nanos: u64,
-    /// Retry attempts spent by this wave's absorbed trials (panicking or
+    /// Retry attempts spent by this batch's absorbed trials (panicking or
     /// timed-out attempts re-run on their own counter-derived streams).
     pub retries: u64,
     /// Absorbed trials that exhausted every retry and were quarantined.
     pub quarantined: u64,
-    /// Per-worker busy/steal accounting for the wave's pool invocation
-    /// (host-clock telemetry like `host_nanos`; a single inline entry at
-    /// `jobs == 1`).
+    /// Per-worker busy/pull accounting for the batch's adjudications, one
+    /// pool item each (host-clock telemetry like `host_nanos`; a single
+    /// inline entry when fewer than two ran or at `jobs == 1`).
     pub pool: crate::parallel::PoolProfile,
 }
 
 impl WaveStats {
-    /// The fraction of launched trials whose outcome was used — the wave
-    /// engine's speculation efficiency (1.0 = nothing wasted).
+    /// The fraction of staged trials whose outcome was used (1.0 =
+    /// nothing wasted).
     pub fn efficiency(&self) -> f64 {
         if self.planned == 0 {
             1.0
@@ -111,7 +112,7 @@ impl WaveStats {
 /// `--jobs` count.
 pub trait SessionObserver {
     /// The session driver started at an operating point (fires before any
-    /// run, from both the wave engine and the reference executor).
+    /// run, from both the batch engine and the reference executor).
     fn on_session_start(&mut self, _at: SimInstant, _point: OperatingPoint) {}
     /// A benchmark run finished.
     fn on_run(&mut self, _start: SimInstant, _benchmark: Benchmark, _verdict: RunVerdict) {}
@@ -121,11 +122,12 @@ pub trait SessionObserver {
     fn on_recovery(&mut self, _start: SimInstant, _duration: SimDuration) {}
     /// The session stopped.
     fn on_session_end(&mut self, _at: SimInstant, _reason: StopReason) {}
-    /// The wave engine executed and merged one speculative wave.
+    /// The batch engine ran and merged one batch of trials.
     ///
-    /// Engine telemetry, not simulation history: wave boundaries depend on
-    /// `--jobs` and `host_nanos` on the host's clock, so trace-equivalence
-    /// observers must leave this as the default no-op ([`Logbook`] does).
+    /// Engine telemetry, not simulation history: batch boundaries restart
+    /// on resume and `host_nanos` follows the host's clock, so
+    /// trace-equivalence observers must leave this as the default no-op
+    /// ([`Logbook`] does).
     fn on_wave(&mut self, _stats: WaveStats) {}
 }
 

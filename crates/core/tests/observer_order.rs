@@ -1,5 +1,5 @@
 //! Property: observer callbacks arrive in nondecreasing simulated-time
-//! order, from both the wave engine (any worker count) and the reference
+//! order, from both the batch engine (any worker count) and the reference
 //! executor — and the two engines deliver the *same* callback stream.
 //!
 //! This is the ordering contract telemetry consumers lean on: a

@@ -315,7 +315,7 @@ impl TelemetrySink {
         out.push_str(&format!("recovery time lost  {recovery_lost:.1} sim-s\n"));
         if planned > 0 {
             out.push_str(&format!(
-                "worker utilization  {:.1}% (absorbed {absorbed} of {planned} speculated trials)\n",
+                "worker utilization  {:.1}% (absorbed {absorbed} of {planned} staged trials)\n",
                 100.0 * absorbed as f64 / planned as f64
             ));
         }

@@ -81,7 +81,8 @@ pub struct SessionForensics {
     pub enter_ns: u64,
     /// Waves merged in this session.
     pub waves: u64,
-    /// Trials the waves planned (speculation included).
+    /// Trials the waves (the engine's batches) staged; above `absorbed`
+    /// only when a retried trial moved the stop earlier.
     pub planned: u64,
     /// Trials the merge absorbed.
     pub absorbed: u64,

@@ -102,16 +102,18 @@ fn help_text(name: &str) -> &'static str {
         "recoveries_total" => "Crash recoveries that consumed beam time.",
         "recovery_time_lost" => "Simulated seconds lost to crash recovery.",
         "trial_wall_time" => "Per-trial simulated wall time in seconds.",
-        "wave_merge_latency" => "Host seconds to execute and merge one speculative wave.",
-        "wave_critical_path" => "Longest single-worker busy time per wave, in host seconds.",
-        "wave_trials_planned_total" => "Trials launched speculatively by the wave engine.",
-        "wave_trials_absorbed_total" => "Speculative trials absorbed by the canonical merge.",
-        "waves_total" => "Speculative waves executed and merged.",
+        "wave_merge_latency" => "Host seconds to run and merge one batch of trials.",
+        "wave_critical_path" => {
+            "Longest single-worker adjudication time per batch, in host seconds."
+        }
+        "wave_trials_planned_total" => "Trials staged by the batch engine's phase 1.",
+        "wave_trials_absorbed_total" => "Staged trials absorbed by the canonical merge.",
+        "waves_total" => "Batches of trials run and merged.",
         "trial_retries" => "Retry attempts spent on panicking or timed-out trials.",
         "quarantined_trials" => "Trials that exhausted every retry and were quarantined.",
-        "worker_busy_seconds" => "Cumulative host seconds each pool worker spent executing trials.",
+        "worker_busy_seconds" => "Cumulative host seconds each pool worker spent adjudicating.",
         "worker_idle_seconds" => "Cumulative host seconds each pool worker spent off the hot path.",
-        "worker_shards_total" => "Work-stealing shards each pool worker pulled off the queue.",
+        "worker_shards_total" => "Adjudications each pool worker pulled off the queue.",
         "telemetry_events_total" => "Observer callbacks captured into the JSONL event stream.",
         "session_sim_seconds" => "Simulated duration of the most recent session at this point.",
         "session_upsets_per_minute" => "Upset-rate estimate of the most recent session.",

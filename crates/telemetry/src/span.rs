@@ -4,8 +4,8 @@
 //! [`Tracer`] records one [`SpanRecord`] per completed level with host
 //! enter/exit timestamps (nanoseconds since the tracer was built, so a
 //! stream is self-relative and machine-comparable) plus structured
-//! attributes — the voltage point for a session, speculation efficiency
-//! for a wave, the verdict for a trial. Records export as JSONL through
+//! attributes — the voltage point for a session, staged and absorbed
+//! trials for a wave (one batch of the engine), the verdict for a trial. Records export as JSONL through
 //! [`Tracer::to_jsonl`].
 //!
 //! Spans are *host* telemetry: their timestamps come from the wall clock
@@ -28,7 +28,7 @@ pub enum SpanLevel {
     Sweep,
     /// One beam session at a fixed operating point.
     Session,
-    /// One speculative wave of the parallel engine.
+    /// One batch of the session engine: phase 1, adjudication, merge.
     Wave,
     /// One benchmark trial.
     Trial,

@@ -135,7 +135,7 @@ fn simulation_series_are_jobs_independent() {
             "{name} depends on jobs"
         );
     }
-    // Speculation absorbs the same trials regardless of wave shape.
+    // The merge absorbs the same trials whatever the worker count.
     assert_eq!(
         s1.counter_total("wave_trials_absorbed_total", &[]),
         s8.counter_total("wave_trials_absorbed_total", &[]),

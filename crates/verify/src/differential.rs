@@ -4,17 +4,18 @@
 //! Three paths exist in `serscale-core`:
 //!
 //! 1. the **naive reference executor** (`run_reference`) — one trial at a
-//!    time, absorbed immediately, no speculation;
-//! 2. the **sequential wave engine** (`run`) — speculative waves merged in
-//!    canonical trial order, one worker;
-//! 3. the **parallel wave engine** (`run_parallel(jobs)`) — the same
-//!    engine sharded over a worker pool.
+//!    time, both phases inline, absorbed immediately;
+//! 2. the **sequential batch engine** (`run`) — phase 1 in trial order,
+//!    adjudication longest first, merged in canonical trial order, one
+//!    worker;
+//! 3. the **parallel batch engine** (`run_parallel(jobs)`) — the same
+//!    engine with its adjudications on a worker pool.
 //!
 //! Because every trial's physics derives from a counter-based stream keyed
 //! only by (session seed, trial index), all three must produce identical
 //! [`SessionReport`](serscale_core::session::SessionReport)s *and*
-//! identical event traces. Any divergence — a speculation leak past a
-//! stopping rule, a merge reordering, a worker-count-dependent draw —
+//! identical event traces. Any divergence — a batch run past a stopping
+//! rule, a merge reordering, a worker-count-dependent draw —
 //! shows up here as an inequality, with no statistics needed.
 
 use serscale_core::campaign::{Campaign, CampaignConfig, CampaignReport, CampaignRunOptions};
